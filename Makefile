@@ -12,7 +12,7 @@ BENCH_BASELINE ?= BENCH_PR9.json
 # are noisy, so the gate only catches real cliffs).
 BENCH_TOLERANCE ?= 0.3
 
-.PHONY: all verify build vet test race bench bench-smoke bench-check determinism profile repro repro-quick examples clean
+.PHONY: all verify build vet test race bench bench-smoke bench-check perfbench-check determinism profile repro repro-quick examples clean
 
 all: verify
 
@@ -22,8 +22,12 @@ verify: build vet test
 build:
 	$(GO) build ./...
 
+# Static checks: go vet, and gofmt -l must list no file. .bench_build/ is
+# skipped: it holds perfbench/run.sh's Go caches, not sources of this repo.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -52,6 +56,14 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkEngine -benchtime=1x -run '^$$' ./internal/sim
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/trace
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# The benchmark in perfbench/ is its own module, so `go build ./...` and
+# `go test ./...` at the root do not see it. Vet and test it here: an API
+# change under internal/ must not break the benchmark or move its goldens.
+# The tests run the full-length golden checks (seeds 1 and 7).
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Bench-regression gate: run the measured benchmarks into a fresh record and
 # compare its promoted metrics against the checked-in baseline. Throughput

@@ -14,7 +14,8 @@
 // Flags: -quick (short run), -seed, -warmup, -duration, -parallel N
 // (concurrent runs per table/sweep; 0 = one per CPU, 1 = sequential),
 // -faults canonical|FILE (arm a WAN fault schedule plus the default
-// resilience policies on every run; the faults command prints the
+// resilience policies on every run; refused with scale, whose analytic
+// request model has no network; the faults command prints the
 // availability table — per-page success rates on the partitioned edge),
 // -diag (CPU/RMI/JMS counters), -p95 (tail-latency tables), -ext (append the
 // DB-replication extension row), -csv FILE (long-format export),
@@ -59,6 +60,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"wadeploy/internal/container"
@@ -126,6 +128,9 @@ func run(args []string) error {
 	cmds := fs.Args()
 	if len(cmds) == 0 {
 		cmds = []string{"all"}
+	}
+	if *faultsFlag != "" && slices.Contains(cmds, "scale") {
+		return fmt.Errorf("-faults does not apply to scale: its analytic request model has no network to fault")
 	}
 	for _, cmd := range cmds {
 		switch cmd {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -104,5 +107,26 @@ func TestRunTraceTiny(t *testing.T) {
 func TestRunScaleTraced(t *testing.T) {
 	if err := run(tiny("-sessions", "2000", "-shards", "2", "-trace", "-sample", "8", "scale")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunFaultsScaleRejected pins that -faults, which the analytic scale
+// model cannot honour, is refused with scale before any command runs.
+func TestRunFaultsScaleRejected(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run([]string{"-faults", "canonical", "-sessions", "8", "-warmup", "1s", "-duration", "1s", "inventory", "scale"})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Fatalf("run = %v, want an error naming scale", err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("inventory ran before the error:\n%s", out)
 	}
 }

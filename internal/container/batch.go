@@ -73,11 +73,11 @@ type updateKey struct {
 // (batched async); with RMI targets it pushes one apply batch per edge per
 // window (the lease: staleness is bounded by window + one-way WAN delay).
 type BatchingPropagator struct {
-	srv    *Server
-	window time.Duration
-	topic  string       // topic mode: one JMS publish per window
+	srv     *Server
+	window  time.Duration
+	topic   string       // topic mode: one JMS publish per window
 	targets []SyncTarget // target mode: one RMI push per (edge, window)
-	bytes  int          // full-state record size, as SyncPropagator
+	bytes   int          // full-state record size, as SyncPropagator
 
 	// BestEffort skips unreachable targets instead of surfacing the error
 	// (flushes are off the writer's critical path either way).

@@ -115,7 +115,7 @@ func TestBrowserSessionShape(t *testing.T) {
 	counts := map[string]int{}
 	const sessions = 500
 	for i := 0; i < sessions; i++ {
-		steps := BrowserSession(rng)
+		steps := collect(BrowserSession, rng)
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("session length = %d", len(steps))
 		}
@@ -149,7 +149,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBuyerSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	steps := BuyerSession(rng)
+	steps := collect(BuyerSession, rng)
 	if len(steps) != len(BuyerPages) {
 		t.Fatalf("buyer session length = %d", len(steps))
 	}

@@ -1,7 +1,6 @@
 package petstore
 
 import (
-	"fmt"
 	"math/rand"
 
 	"wadeploy/internal/container"
@@ -19,83 +18,6 @@ const (
 // BrowserSessionLength is the paper's browser session length (Table 2).
 const BrowserSessionLength = 20
 
-// BrowserSession generates one browser session: 20 logically organized page
-// requests starting at Main, drawn with the Table 2 weights; Item requests
-// target an item of the previously requested Product, Product requests a
-// product of the previously requested Category.
-func BrowserSession(rng *rand.Rand) []workload.Step {
-	steps := make([]workload.Step, 0, BrowserSessionLength)
-	steps = append(steps, workload.Step{Page: PageMain})
-	cat := rng.Intn(NumCategories)
-	// The last *requested* product, as (category, product): an Item page
-	// always shows an item of the previously requested Product page.
-	pcat, pprod := cat, rng.Intn(ProductsPerCategory)
-	total := 0
-	for _, bp := range BrowserPages {
-		total += bp.Weight
-	}
-	for len(steps) < BrowserSessionLength {
-		r := rng.Intn(total)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		switch page {
-		case PageMain:
-			steps = append(steps, workload.Step{Page: PageMain})
-		case PageCategory:
-			cat = rng.Intn(NumCategories)
-			steps = append(steps, workload.Step{
-				Page:   PageCategory,
-				Params: map[string]string{"cat": CategoryID(cat)},
-			})
-		case PageProduct:
-			pcat, pprod = cat, rng.Intn(ProductsPerCategory)
-			steps = append(steps, workload.Step{
-				Page:   PageProduct,
-				Params: map[string]string{"product": ProductID(pcat, pprod)},
-			})
-		case PageItem:
-			item := rng.Intn(ItemsPerProduct)
-			steps = append(steps, workload.Step{
-				Page:   PageItem,
-				Params: map[string]string{"item": ItemID(pcat, pprod, item)},
-			})
-		case PageSearch:
-			steps = append(steps, workload.Step{
-				Page:   PageSearch,
-				Params: map[string]string{"q": fmt.Sprintf("P%02d", rng.Intn(ProductsPerCategory)+1)},
-			})
-		}
-	}
-	return steps
-}
-
-// BuyerSession generates one buyer session: the fixed Table 3 sequence for a
-// random account buying one random item.
-func BuyerSession(rng *rand.Rand) []workload.Step {
-	user := UserID(rng.Intn(NumAccounts))
-	item := ItemID(rng.Intn(NumCategories), rng.Intn(ProductsPerCategory), rng.Intn(ItemsPerProduct))
-	auth := map[string]string{"user": user, "password": "pw-" + user}
-	cartParams := map[string]string{"item": item}
-	steps := make([]workload.Step, 0, len(BuyerPages))
-	for _, page := range BuyerPages {
-		switch page {
-		case PageVerifySignin:
-			steps = append(steps, workload.Step{Page: page, Params: auth})
-		case PageCart:
-			steps = append(steps, workload.Step{Page: page, Params: cartParams})
-		default:
-			steps = append(steps, workload.Step{Page: page})
-		}
-	}
-	return steps
-}
-
 // browserWeightTotal is the Table 2 weight sum, computed once.
 var browserWeightTotal = func() int {
 	total := 0
@@ -105,59 +27,70 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill is BrowserSession in pooled form: identical RNG draw
-// sequence and identical step values (the paper-table goldens pin this), but
-// the session is written into the caller's reused buffer with GrowStep and
-// every parameter string comes from the precomputed ID tables — zero
-// steady-state allocations per session.
-func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	steps = workload.GrowStep(steps, PageMain)
-	cat := rng.Intn(NumCategories)
-	pcat, pprod := cat, rng.Intn(ProductsPerCategory)
-	for n := 1; n < BrowserSessionLength; n++ {
-		r := rng.Intn(browserWeightTotal)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageCategory:
-			cat = rng.Intn(NumCategories)
-			s.Set("cat", categoryIDs[cat])
-		case PageProduct:
-			pcat, pprod = cat, rng.Intn(ProductsPerCategory)
-			s.Set("product", productIDs[pcat][pprod])
-		case PageItem:
-			s.Set("item", itemIDs[pcat][pprod][rng.Intn(ItemsPerProduct)])
-		case PageSearch:
-			s.Set("q", searchQs[rng.Intn(ProductsPerCategory)])
-		}
+// BrowserSession generates the browser session (Table 2): 20 logically
+// organized page requests starting at Main, drawn with the Table 2 weights;
+// Item requests target an item of the previously requested Product, Product
+// requests a product of the previously requested Category. Register layout:
+// R[0] = current category, R[1]/R[2] = last requested product (cat, prod).
+func BrowserSession(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
+	if st.Pos >= BrowserSessionLength {
+		return false
 	}
-	return steps
+	if st.Pos == 0 {
+		st.R[0] = int64(rng.Intn(NumCategories))
+		st.R[1] = st.R[0]
+		st.R[2] = int64(rng.Intn(ProductsPerCategory))
+		step.Page = PageMain
+		return true
+	}
+	r := rng.Intn(browserWeightTotal)
+	page := PageMain
+	for _, bp := range BrowserPages {
+		if r < bp.Weight {
+			page = bp.Page
+			break
+		}
+		r -= bp.Weight
+	}
+	step.Page = page
+	switch page {
+	case PageCategory:
+		st.R[0] = int64(rng.Intn(NumCategories))
+		step.Set("cat", categoryIDs[st.R[0]])
+	case PageProduct:
+		st.R[1], st.R[2] = st.R[0], int64(rng.Intn(ProductsPerCategory))
+		step.Set("product", productIDs[st.R[1]][st.R[2]])
+	case PageItem:
+		step.Set("item", itemIDs[st.R[1]][st.R[2]][rng.Intn(ItemsPerProduct)])
+	case PageSearch:
+		step.Set("q", searchQs[rng.Intn(ProductsPerCategory)])
+	}
+	return true
 }
 
-// BuyerRefill is BuyerSession in pooled form (same RNG draws, same values).
-func BuyerRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	u := rng.Intn(NumAccounts)
-	item := itemIDs[rng.Intn(NumCategories)][rng.Intn(ProductsPerCategory)][rng.Intn(ItemsPerProduct)]
-	for _, page := range BuyerPages {
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageVerifySignin:
-			s.Set("user", userIDs[u])
-			s.Set("password", passwords[u])
-		case PageCart:
-			s.Set("item", item)
-		}
+// BuyerSession generates the buyer session: the fixed Table 3 sequence for a
+// random account buying one random item. Register layout: R[0] = account,
+// R[1] = item index (flattened).
+func BuyerSession(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
+	if int(st.Pos) >= len(BuyerPages) {
+		return false
 	}
-	return steps
+	if st.Pos == 0 {
+		st.R[0] = int64(rng.Intn(NumAccounts))
+		st.R[1] = int64(rng.Intn(NumCategories)*ProductsPerCategory*ItemsPerProduct +
+			rng.Intn(ProductsPerCategory)*ItemsPerProduct + rng.Intn(ItemsPerProduct))
+	}
+	page := BuyerPages[st.Pos]
+	step.Page = page
+	switch page {
+	case PageVerifySignin:
+		step.Set("user", userIDs[st.R[0]])
+		step.Set("password", passwords[st.R[0]])
+	case PageCart:
+		i := st.R[1]
+		step.Set("item", itemIDs[i/(ProductsPerCategory*ItemsPerProduct)][(i/ItemsPerProduct)%ProductsPerCategory][i%ItemsPerProduct])
+	}
+	return true
 }
 
 // PaperWorkload returns the three client groups of Section 3.3: 30 page
@@ -178,34 +111,29 @@ func PaperWorkloadScaled(a *App, scale float64) []workload.Group {
 	if writers < 1 {
 		writers = 1
 	}
-	groups := make([]workload.Group, 0, 3)
-	type gdef struct {
-		name  string
-		node  string
-		local bool
+	return []workload.Group{
+		a.group("local", simnet.NodeClientsMain, true, browsers, writers),
+		a.group("remote-1", simnet.NodeClientsEdge1, false, browsers, writers),
+		a.group("remote-2", simnet.NodeClientsEdge2, false, browsers, writers),
 	}
-	for _, g := range []gdef{
-		{"local", simnet.NodeClientsMain, true},
-		{"remote-1", simnet.NodeClientsEdge1, false},
-		{"remote-2", simnet.NodeClientsEdge2, false},
-	} {
-		groups = append(groups, workload.Group{
-			Name:           g.name,
-			ClientNode:     g.node,
-			Local:          g.local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8e9, // 8s soft think time -> 10 req/s per group at scale 1
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBuyer,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BuyerSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BuyerRefill,
-			Request:        a.RequestFunc(),
-		})
+}
+
+// group builds one client group of browsers and buyers with the paper's
+// 8-second soft think time.
+func (a *App) group(name, node string, local bool, browsers, writers int) workload.Group {
+	return workload.Group{
+		Name:           name,
+		ClientNode:     node,
+		Local:          local,
+		Browsers:       browsers,
+		Writers:        writers,
+		Delay:          8e9, // 8s soft think time -> 10 req/s per group at scale 1
+		BrowserPattern: PatternBrowser,
+		WriterPattern:  PatternBuyer,
+		BrowserGen:     BrowserSession,
+		WriterGen:      BuyerSession,
+		Request:        a.RequestFunc(),
 	}
-	return groups
 }
 
 // Plan returns the validated placement plan for the active configuration —

@@ -1,82 +1,12 @@
 package petstore
 
 import (
-	"math/rand"
 	"strconv"
 	"time"
 
 	"wadeploy/internal/sim"
 	"wadeploy/internal/workload"
 )
-
-// Streaming-form session generators: the same Table 2/3 session structure as
-// BrowserSession/BuyerSession, but emitted one step at a time through the
-// bounded-memory streaming engine. Cross-step context (the browser's current
-// category and last-requested product, the buyer's account and item) lives
-// in the three StreamState registers, so a session's footprint is its task
-// struct — no step slice, no per-session RNG.
-
-// BrowserStream emits one browser-session step per call; register layout:
-// R[0] = current category, R[1]/R[2] = last requested product (cat, prod).
-func BrowserStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
-	if st.Pos >= BrowserSessionLength {
-		return false
-	}
-	if st.Pos == 0 {
-		st.R[0] = int64(rng.Intn(NumCategories))
-		st.R[1] = st.R[0]
-		st.R[2] = int64(rng.Intn(ProductsPerCategory))
-		step.Page = PageMain
-		return true
-	}
-	r := rng.Intn(browserWeightTotal)
-	page := PageMain
-	for _, bp := range BrowserPages {
-		if r < bp.Weight {
-			page = bp.Page
-			break
-		}
-		r -= bp.Weight
-	}
-	step.Page = page
-	switch page {
-	case PageCategory:
-		st.R[0] = int64(rng.Intn(NumCategories))
-		step.Set("cat", categoryIDs[st.R[0]])
-	case PageProduct:
-		st.R[1], st.R[2] = st.R[0], int64(rng.Intn(ProductsPerCategory))
-		step.Set("product", productIDs[st.R[1]][st.R[2]])
-	case PageItem:
-		step.Set("item", itemIDs[st.R[1]][st.R[2]][rng.Intn(ItemsPerProduct)])
-	case PageSearch:
-		step.Set("q", searchQs[rng.Intn(ProductsPerCategory)])
-	}
-	return true
-}
-
-// BuyerStream emits the fixed Table 3 buyer sequence; register layout:
-// R[0] = account, R[1] = item index (flattened).
-func BuyerStream(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
-	if int(st.Pos) >= len(BuyerPages) {
-		return false
-	}
-	if st.Pos == 0 {
-		st.R[0] = int64(rng.Intn(NumAccounts))
-		st.R[1] = int64(rng.Intn(NumCategories)*ProductsPerCategory*ItemsPerProduct +
-			rng.Intn(ProductsPerCategory)*ItemsPerProduct + rng.Intn(ItemsPerProduct))
-	}
-	page := BuyerPages[st.Pos]
-	step.Page = page
-	switch page {
-	case PageVerifySignin:
-		step.Set("user", userIDs[st.R[0]])
-		step.Set("password", passwords[st.R[0]])
-	case PageCart:
-		i := st.R[1]
-		step.Set("item", itemIDs[i/(ProductsPerCategory*ItemsPerProduct)][(i/ItemsPerProduct)%ProductsPerCategory][i%ItemsPerProduct])
-	}
-	return true
-}
 
 // streamPageCost is the analytic response-time model behind the scale
 // workload: per-page base service times loosely following the app's measured
@@ -153,7 +83,7 @@ func StreamWorkload(totalClients int) []workload.StreamClass {
 				Pattern:  PatternBrowser,
 				Clients:  browsers,
 				Delay:    8 * time.Second,
-				Gen:      BrowserStream,
+				Gen:      BrowserSession,
 				Request:  StreamRequestModel(local),
 				TraceWAN: StreamTraceWAN(local),
 			},
@@ -164,7 +94,7 @@ func StreamWorkload(totalClients int) []workload.StreamClass {
 				Pattern:  PatternBuyer,
 				Clients:  writers,
 				Delay:    8 * time.Second,
-				Gen:      BuyerStream,
+				Gen:      BuyerSession,
 				Request:  StreamRequestModel(local),
 				TraceWAN: StreamTraceWAN(local),
 			})

@@ -85,24 +85,7 @@ func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
 	remoteWriters := int(32*scale + 0.5)
 
 	groups := make([]workload.Group, 0, 1+n)
-	mk := func(name, node string, local bool, browsers, writers int) workload.Group {
-		return workload.Group{
-			Name:           name,
-			ClientNode:     node,
-			Local:          local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8e9, // 8s soft think time, as in the paper workload
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBuyer,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BuyerSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BuyerRefill,
-			Request:        a.RequestFunc(),
-		}
-	}
-	groups = append(groups, mk("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
+	groups = append(groups, a.group("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
 	for i, edge := range edges {
 		browsers := remoteBrowsers / n
 		if i < remoteBrowsers%n {
@@ -113,7 +96,7 @@ func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
 			writers++
 		}
 		node := a.d.ClientNodeOf(edge.Name())
-		groups = append(groups, mk("remote-"+edge.Name(), node, false, browsers, writers))
+		groups = append(groups, a.group("remote-"+edge.Name(), node, false, browsers, writers))
 	}
 	return groups
 }

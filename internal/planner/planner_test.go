@@ -90,10 +90,10 @@ func TestCandidatesEnumeratesValidCombinations(t *testing.T) {
 
 func TestCandidateConfigMapsPaperLadder(t *testing.T) {
 	want := map[string]core.ConfigID{
-		"none":                      core.Centralized,
-		"web":                       core.RemoteFacade,
-		"web+entities":              core.StatefulCaching,
-		"web+entities+queries":      core.QueryCaching,
+		"none":                       core.Centralized,
+		"web":                        core.RemoteFacade,
+		"web+entities":               core.StatefulCaching,
+		"web+entities+queries":       core.QueryCaching,
 		"web+entities+queries+async": core.AsyncUpdates,
 	}
 	mapped := 0

@@ -89,7 +89,7 @@ func TestBrowserSessionShape(t *testing.T) {
 	counts := map[string]int{}
 	const sessions = 400
 	for i := 0; i < sessions; i++ {
-		steps := BrowserSession(rng)
+		steps := collect(BrowserSession, rng)
 		if len(steps) != BrowserSessionLength {
 			t.Fatalf("length = %d", len(steps))
 		}
@@ -121,7 +121,7 @@ func TestBrowserSessionShape(t *testing.T) {
 
 func TestBidderSessionSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	steps := BidderSession(rng)
+	steps := collect(BidderSession, rng)
 	if len(steps) != len(BidderPages) {
 		t.Fatalf("length = %d, want %d", len(steps), len(BidderPages))
 	}

@@ -2,7 +2,6 @@ package rubis
 
 import (
 	"math/rand"
-	"strconv"
 	"time"
 
 	"wadeploy/internal/container"
@@ -28,88 +27,6 @@ func itemInCategory(rng *rand.Rand, c int64) int64 {
 	return c + int64(k*NumCategories)
 }
 
-// BrowserSession generates one 40-request browser session with the Table 4
-// page weights, starting at Main; Bids requests target the previously
-// viewed item, and Item requests follow the last listing's category.
-func BrowserSession(rng *rand.Rand) []workload.Step {
-	steps := make([]workload.Step, 0, BrowserSessionLength)
-	steps = append(steps, workload.Step{Page: PageMain})
-	total := 0
-	for _, bp := range BrowserPages {
-		total += bp.Weight
-	}
-	cat := int64(rng.Intn(NumCategories) + 1)
-	region := int64(rng.Intn(NumRegions) + 1)
-	lastItem := itemInCategory(rng, cat)
-	for len(steps) < BrowserSessionLength {
-		r := rng.Intn(total)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		step := workload.Step{Page: page}
-		switch page {
-		case PageRegion:
-			region = int64(rng.Intn(NumRegions) + 1)
-			step.Params = map[string]string{"region": strconv.FormatInt(region, 10)}
-		case PageCategory:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			step.Params = map[string]string{"cat": strconv.FormatInt(cat, 10)}
-		case PageCatRegion:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			step.Params = map[string]string{
-				"cat":    strconv.FormatInt(cat, 10),
-				"region": strconv.FormatInt(region, 10),
-			}
-		case PageItem:
-			lastItem = itemInCategory(rng, cat)
-			step.Params = map[string]string{"item": strconv.FormatInt(lastItem, 10)}
-		case PageBids:
-			step.Params = map[string]string{"item": strconv.FormatInt(lastItem, 10)}
-		case PageUserInfo:
-			step.Params = map[string]string{"user": strconv.Itoa(rng.Intn(NumUsers) + 1)}
-		}
-		steps = append(steps, step)
-	}
-	return steps
-}
-
-// BidderSession generates one bidder session (Table 5): the bidder bids on
-// an item and leaves a comment for its seller, authenticating before each
-// write activity (RUBiS keeps no login session).
-func BidderSession(rng *rand.Rand) []workload.Step {
-	u := rng.Intn(NumUsers)
-	nick, pass := Nickname(u), Password(u)
-	item := int64(rng.Intn(NumItems) + 1)
-	seller := (item-1)%NumUsers + 1
-	bid := 5.0 + float64(rng.Intn(500))
-	withItem := func(extra map[string]string) map[string]string {
-		m := map[string]string{"nick": nick, "password": pass, "item": strconv.FormatInt(item, 10)}
-		for k, v := range extra {
-			m[k] = v
-		}
-		return m
-	}
-	return []workload.Step{
-		{Page: PageMain},
-		{Page: PagePutBidAuth},
-		{Page: PagePutBidForm, Params: withItem(nil)},
-		{Page: PageStoreBid, Params: withItem(map[string]string{"bid": strconv.FormatFloat(bid, 'f', 2, 64)})},
-		{Page: PagePutCommentAuth},
-		{Page: PagePutCommentForm, Params: map[string]string{
-			"nick": nick, "password": pass, "to": strconv.FormatInt(seller, 10),
-		}},
-		{Page: PageStoreComment, Params: map[string]string{
-			"nick": nick, "password": pass, "to": strconv.FormatInt(seller, 10),
-			"item": strconv.FormatInt(item, 10), "rating": strconv.Itoa(rng.Intn(5) + 1),
-		}},
-	}
-}
-
 // browserWeightTotal is the Table 4 weight sum, computed once.
 var browserWeightTotal = func() int {
 	total := 0
@@ -119,84 +36,94 @@ var browserWeightTotal = func() int {
 	return total
 }()
 
-// BrowserRefill is BrowserSession in pooled form: identical RNG draw
-// sequence and values (pinned by the paper-table goldens), written into the
-// caller's reused buffer with interned parameter strings.
-func BrowserRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	steps = workload.GrowStep(steps, PageMain)
-	cat := int64(rng.Intn(NumCategories) + 1)
-	region := int64(rng.Intn(NumRegions) + 1)
-	lastItem := itemInCategory(rng, cat)
-	for n := 1; n < BrowserSessionLength; n++ {
-		r := rng.Intn(browserWeightTotal)
-		page := PageMain
-		for _, bp := range BrowserPages {
-			if r < bp.Weight {
-				page = bp.Page
-				break
-			}
-			r -= bp.Weight
-		}
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PageRegion:
-			region = int64(rng.Intn(NumRegions) + 1)
-			s.Set("region", intStr(region))
-		case PageCategory:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			s.Set("cat", intStr(cat))
-		case PageCatRegion:
-			cat = int64(rng.Intn(NumCategories) + 1)
-			s.Set("cat", intStr(cat))
-			s.Set("region", intStr(region))
-		case PageItem:
-			lastItem = itemInCategory(rng, cat)
-			s.Set("item", intStr(lastItem))
-		case PageBids:
-			s.Set("item", intStr(lastItem))
-		case PageUserInfo:
-			s.Set("user", intStr(int64(rng.Intn(NumUsers)+1)))
-		}
+// BrowserSession generates the 40-request browser session with the Table 4
+// page weights, starting at Main; Bids requests target the previously viewed
+// item, and Item requests follow the last listing's category. Register
+// layout: R[0] = current category, R[1] = current region, R[2] = last viewed
+// item.
+func BrowserSession(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
+	if st.Pos >= BrowserSessionLength {
+		return false
 	}
-	return steps
+	if st.Pos == 0 {
+		st.R[0] = int64(rng.Intn(NumCategories) + 1)
+		st.R[1] = int64(rng.Intn(NumRegions) + 1)
+		st.R[2] = itemInCategory(rng, st.R[0])
+		step.Page = PageMain
+		return true
+	}
+	r := rng.Intn(browserWeightTotal)
+	page := PageMain
+	for _, bp := range BrowserPages {
+		if r < bp.Weight {
+			page = bp.Page
+			break
+		}
+		r -= bp.Weight
+	}
+	step.Page = page
+	switch page {
+	case PageRegion:
+		st.R[1] = int64(rng.Intn(NumRegions) + 1)
+		step.Set("region", intStr(st.R[1]))
+	case PageCategory:
+		st.R[0] = int64(rng.Intn(NumCategories) + 1)
+		step.Set("cat", intStr(st.R[0]))
+	case PageCatRegion:
+		st.R[0] = int64(rng.Intn(NumCategories) + 1)
+		step.Set("cat", intStr(st.R[0]))
+		step.Set("region", intStr(st.R[1]))
+	case PageItem:
+		st.R[2] = itemInCategory(rng, st.R[0])
+		step.Set("item", intStr(st.R[2]))
+	case PageBids:
+		step.Set("item", intStr(st.R[2]))
+	case PageUserInfo:
+		step.Set("user", intStr(int64(rng.Intn(NumUsers)+1)))
+	}
+	return true
 }
 
-// BidderRefill is BidderSession in pooled form (same RNG draws, same
-// values).
-func BidderRefill(rng *rand.Rand, steps []workload.Step) []workload.Step {
-	u := rng.Intn(NumUsers)
-	nick, pass := nicknames[u], userPws[u]
-	item := int64(rng.Intn(NumItems) + 1)
+// BidderSession generates the bidder session (Table 5): the bidder bids on
+// an item and leaves a comment for its seller, authenticating before each
+// write activity (RUBiS keeps no login session). Register layout: R[0] =
+// user, R[1] = item, R[2] = bid table index.
+func BidderSession(rng *rand.Rand, st *workload.StreamState, step *workload.Step) bool {
+	if int(st.Pos) >= len(BidderPages) {
+		return false
+	}
+	if st.Pos == 0 {
+		st.R[0] = int64(rng.Intn(NumUsers))
+		st.R[1] = int64(rng.Intn(NumItems) + 1)
+		st.R[2] = int64(rng.Intn(500))
+	}
+	u := int(st.R[0])
+	item := st.R[1]
 	seller := (item-1)%NumUsers + 1
-	bid := rng.Intn(500)
-	itemS, sellerS := intStr(item), intStr(seller)
-	setAuth := func(s *workload.Step) {
-		s.Set("nick", nick)
-		s.Set("password", pass)
+	page := BidderPages[st.Pos]
+	step.Page = page
+	setAuth := func() {
+		step.Set("nick", nicknames[u])
+		step.Set("password", userPws[u])
 	}
-	for _, page := range BidderPages {
-		steps = workload.GrowStep(steps, page)
-		s := &steps[len(steps)-1]
-		switch page {
-		case PagePutBidForm:
-			setAuth(s)
-			s.Set("item", itemS)
-		case PageStoreBid:
-			setAuth(s)
-			s.Set("item", itemS)
-			s.Set("bid", bidStrs[bid])
-		case PagePutCommentForm:
-			setAuth(s)
-			s.Set("to", sellerS)
-		case PageStoreComment:
-			setAuth(s)
-			s.Set("to", sellerS)
-			s.Set("item", itemS)
-			s.Set("rating", ratings[rng.Intn(5)])
-		}
+	switch page {
+	case PagePutBidForm:
+		setAuth()
+		step.Set("item", intStr(item))
+	case PageStoreBid:
+		setAuth()
+		step.Set("item", intStr(item))
+		step.Set("bid", bidStrs[st.R[2]])
+	case PagePutCommentForm:
+		setAuth()
+		step.Set("to", intStr(seller))
+	case PageStoreComment:
+		setAuth()
+		step.Set("to", intStr(seller))
+		step.Set("item", intStr(item))
+		step.Set("rating", ratings[rng.Intn(5)])
 	}
-	return steps
+	return true
 }
 
 // RequestFunc adapts the app to the workload driver.
@@ -223,34 +150,29 @@ func PaperWorkloadScaled(a *App, scale float64) []workload.Group {
 	if writers < 1 {
 		writers = 1
 	}
-	type gdef struct {
-		name  string
-		node  string
-		local bool
+	return []workload.Group{
+		a.group("local", simnet.NodeClientsMain, true, browsers, writers),
+		a.group("remote-1", simnet.NodeClientsEdge1, false, browsers, writers),
+		a.group("remote-2", simnet.NodeClientsEdge2, false, browsers, writers),
 	}
-	groups := make([]workload.Group, 0, 3)
-	for _, g := range []gdef{
-		{"local", simnet.NodeClientsMain, true},
-		{"remote-1", simnet.NodeClientsEdge1, false},
-		{"remote-2", simnet.NodeClientsEdge2, false},
-	} {
-		groups = append(groups, workload.Group{
-			Name:           g.name,
-			ClientNode:     g.node,
-			Local:          g.local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8 * time.Second,
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBidder,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BidderSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BidderRefill,
-			Request:        a.RequestFunc(),
-		})
+}
+
+// group builds one client group of browsers and bidders with the paper's
+// 8-second soft think time.
+func (a *App) group(name, node string, local bool, browsers, writers int) workload.Group {
+	return workload.Group{
+		Name:           name,
+		ClientNode:     node,
+		Local:          local,
+		Browsers:       browsers,
+		Writers:        writers,
+		Delay:          8 * time.Second,
+		BrowserPattern: PatternBrowser,
+		WriterPattern:  PatternBidder,
+		BrowserGen:     BrowserSession,
+		WriterGen:      BidderSession,
+		Request:        a.RequestFunc(),
 	}
-	return groups
 }
 
 // Plan returns the validated placement plan for the active configuration.

@@ -6,7 +6,6 @@ package rubis
 
 import (
 	"fmt"
-	"time"
 
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
@@ -96,24 +95,7 @@ func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
 	remoteWriters := int(32*scale + 0.5)
 
 	groups := make([]workload.Group, 0, 1+n)
-	mk := func(name, node string, local bool, browsers, writers int) workload.Group {
-		return workload.Group{
-			Name:           name,
-			ClientNode:     node,
-			Local:          local,
-			Browsers:       browsers,
-			Writers:        writers,
-			Delay:          8 * time.Second,
-			BrowserPattern: PatternBrowser,
-			WriterPattern:  PatternBidder,
-			BrowserGen:     BrowserSession,
-			WriterGen:      BidderSession,
-			BrowserRefill:  BrowserRefill,
-			WriterRefill:   BidderRefill,
-			Request:        a.RequestFunc(),
-		}
-	}
-	groups = append(groups, mk("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
+	groups = append(groups, a.group("local", simnet.NodeClientsMain, true, localBrowsers, localWriters))
 	for i, edge := range edges {
 		browsers := remoteBrowsers / n
 		if i < remoteBrowsers%n {
@@ -123,7 +105,7 @@ func TopoWorkloadScaled(a *App, scale float64) []workload.Group {
 		if i < remoteWriters%n {
 			writers++
 		}
-		groups = append(groups, mk("remote-"+edge.Name(), a.d.ClientNodeOf(edge.Name()), false, browsers, writers))
+		groups = append(groups, a.group("remote-"+edge.Name(), a.d.ClientNodeOf(edge.Name()), false, browsers, writers))
 	}
 	return groups
 }

@@ -235,7 +235,6 @@ type Proc struct {
 	name     string
 	resume   chan struct{}
 	kill     bool
-	trace    *Trace
 	traceCtx any // opaque per-process slot for a causal tracer's span state
 }
 

@@ -529,3 +529,47 @@ func TestProcAccessors(t *testing.T) {
 	})
 	e.RunAll()
 }
+
+func TestTraceCtxSlotRoundTrips(t *testing.T) {
+	e := NewEnv(1)
+	e.Spawn("p", func(p *Proc) {
+		if p.TraceCtx() != nil {
+			t.Error("fresh process has non-nil trace ctx")
+		}
+		v := &struct{ x int }{x: 7}
+		p.SetTraceCtx(v)
+		if p.TraceCtx() != any(v) {
+			t.Error("trace ctx did not round-trip")
+		}
+		p.SetTraceCtx(nil)
+		if p.TraceCtx() != nil {
+			t.Error("trace ctx not cleared")
+		}
+	})
+	e.RunAll()
+	e.Close()
+	if e.TraceHook() != nil {
+		t.Fatal("fresh env has non-nil trace hook")
+	}
+	e.SetTraceHook("tracer")
+	if e.TraceHook() != "tracer" {
+		t.Fatal("trace hook did not round-trip")
+	}
+}
+
+func TestEnvCurrentTracksRunningProc(t *testing.T) {
+	e := NewEnv(1)
+	var inProc, inCallback *Proc
+	e.Spawn("p", func(p *Proc) {
+		inProc = e.Current()
+	})
+	e.After(time.Millisecond, func() { inCallback = e.Current() })
+	e.RunAll()
+	e.Close()
+	if inProc == nil || inProc.Name() != "p" {
+		t.Fatalf("Current inside process = %v", inProc)
+	}
+	if inCallback != nil {
+		t.Fatalf("Current inside raw callback = %v, want nil", inCallback)
+	}
+}

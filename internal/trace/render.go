@@ -7,9 +7,8 @@ import (
 	"time"
 )
 
-// Format renders one trace as an indented causal tree, in the spirit of the
-// old sim.Trace.String but with node attribution, cause labels, and async
-// hand-offs marked with "~":
+// Format renders one trace as an indented causal tree with node
+// attribution, cause labels, and async hand-offs marked with "~":
 //
 //	trace 0x6b9a... petstore/Browser Product (remote)
 //	 228.5ms  page Product @ clients-edge-1

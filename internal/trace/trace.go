@@ -1,11 +1,10 @@
 // Package trace is the causal tracing subsystem: substrate-owned spans with
 // trace IDs, parent links and node attribution, propagated across every
 // distribution boundary (rmi request/response, JMS publish→consume, dbrepl
-// push→replay, sqldb statements, container bean and cache operations). It
-// replaces the flat depth-stack sim.Trace with a span tree that survives
-// async hand-offs, so a page's latency can be decomposed mechanically into
-// the paper's Section 5 vocabulary: WAN wait, service time, queueing, and
-// retry/backoff.
+// push→replay, sqldb statements, container bean and cache operations). The
+// spans form a tree that survives async hand-offs, so a page's latency can
+// be decomposed mechanically into the paper's Section 5 vocabulary: WAN
+// wait, service time, queueing, and retry/backoff.
 //
 // Determinism contract: tracing draws no randomness and advances no clocks.
 // Trace IDs are pure functions of logical request identity (client key ×

@@ -16,9 +16,9 @@ type Step struct {
 	Params map[string]string
 }
 
-// Set stores one request parameter, allocating the map on first use. With
-// GrowStep's map reuse, steady-state sessions Set into already-allocated
-// maps and the pair is allocation-free.
+// Set stores one request parameter, allocating the map on first use. Both
+// drivers reuse a Step across generator calls, so in steady state Set writes
+// into an already-allocated map and is allocation-free.
 func (s *Step) Set(key, value string) {
 	if s.Params == nil {
 		s.Params = make(map[string]string, 4)
@@ -26,38 +26,44 @@ func (s *Step) Set(key, value string) {
 	s.Params[key] = value
 }
 
-// GrowStep appends one step for page to steps, reusing the vacated slot —
-// including its params map, which is cleared in place — when the slice has
-// capacity. Generators written against it (the RefillGen form) stop
-// allocating a fresh []Step and a map per page once the per-client buffer
-// has grown to the longest session seen.
-func GrowStep(steps []Step, page string) []Step {
-	if len(steps) < cap(steps) {
-		steps = steps[:len(steps)+1]
-		s := &steps[len(steps)-1]
-		s.Page = page
-		if s.Params != nil {
-			clear(s.Params)
-		}
-		return steps
-	}
-	return append(steps, Step{Page: page})
+// reset clears the step for the next generator call, keeping its params map.
+func (s *Step) reset() {
+	s.Page = ""
+	clear(s.Params)
 }
 
-// SessionGen produces the step sequence of one session. Generators are
-// application-specific: the Pet Store Browser draws pages with the Table 2
-// weights, the Buyer follows the fixed Table 3 sequence, and so on.
-type SessionGen func(rng *rand.Rand) []Step
+// StreamState is the per-session generator state: the step position plus
+// three scratch registers generators use to carry cross-step context (the
+// Pet Store browser's current category/product, the bidder's item, ...).
+type StreamState struct {
+	Pos int32
+	R   [3]int64
+}
 
-// RefillGen is the pooled form of SessionGen: it writes the session into
-// steps (passed with length 0 and whatever capacity previous sessions grew)
-// and returns the filled slice. A RefillGen must draw exactly the same RNG
-// sequence as its SessionGen counterpart so the two are interchangeable
-// without disturbing byte-identical outputs; the paper-table goldens pin
-// this. Params maps in reused slots arrive cleared but allocated — requests
-// consume them synchronously, so handing the same map to every session is
-// safe.
-type RefillGen func(rng *rand.Rand, steps []Step) []Step
+// StreamGen is a session generator: it writes the step at position st.Pos of
+// one session into step (already cleared) and returns false — writing
+// nothing — when the session is complete. The caller advances Pos;
+// generators read st.R freely and may draw from rng on any step. A fresh
+// session arrives as the zero StreamState. Each application defines one
+// StreamGen per usage pattern (the Pet Store Browser draws pages with the
+// Table 2 weights, the Buyer follows the fixed Table 3 sequence, and so on).
+type StreamGen func(rng *rand.Rand, st *StreamState, step *Step) bool
+
+// nextStep writes the next step of the session in st into step and advances
+// st past it. When that session is complete it restarts st as a fresh session
+// and reports ended. ok is false only when the fresh session is empty too.
+func nextStep(gen StreamGen, rng *rand.Rand, st *StreamState, step *Step) (ok, ended bool) {
+	step.reset()
+	if !gen(rng, st, step) {
+		ended = true
+		*st = StreamState{}
+		if !gen(rng, st, step) {
+			return false, true
+		}
+	}
+	st.Pos++
+	return true, ended
+}
 
 // Client identifies one simulated client machine process: its network node
 // and a unique ID that applications use to key per-client web sessions.
@@ -87,15 +93,8 @@ type Group struct {
 
 	BrowserPattern string
 	WriterPattern  string
-	BrowserGen     SessionGen
-	WriterGen      SessionGen
-
-	// BrowserRefill/WriterRefill, when set, are used instead of the Gen
-	// counterparts on the request hot path, reusing one step buffer per
-	// client. The Gen forms remain required wherever sessions are sampled
-	// outside the driver (planner visit estimation).
-	BrowserRefill RefillGen
-	WriterRefill  RefillGen
+	BrowserGen     StreamGen
+	WriterGen      StreamGen
 
 	Request RequestFunc
 }
@@ -147,18 +146,18 @@ func Run(cfg Config) (*Stats, error) {
 		if g.Delay <= 0 {
 			return nil, fmt.Errorf("workload: group %q has non-positive delay", g.Name)
 		}
-		if g.Browsers > 0 && g.BrowserGen == nil && g.BrowserRefill == nil {
+		if g.Browsers > 0 && g.BrowserGen == nil {
 			return nil, fmt.Errorf("workload: group %q has browsers but no generator", g.Name)
 		}
-		if g.Writers > 0 && g.WriterGen == nil && g.WriterRefill == nil {
+		if g.Writers > 0 && g.WriterGen == nil {
 			return nil, fmt.Errorf("workload: group %q has writers but no generator", g.Name)
 		}
 		ids := makeIdentities(cfg.Env, g)
 		for i := 0; i < g.Browsers; i++ {
-			spawnClient(cfg, stats, g, ids[i], g.BrowserPattern, g.BrowserGen, g.BrowserRefill)
+			spawnClient(cfg, stats, g, ids[i], g.BrowserPattern, g.BrowserGen)
 		}
 		for i := 0; i < g.Writers; i++ {
-			spawnClient(cfg, stats, g, ids[g.Browsers+i], g.WriterPattern, g.WriterGen, g.WriterRefill)
+			spawnClient(cfg, stats, g, ids[g.Browsers+i], g.WriterPattern, g.WriterGen)
 		}
 	}
 	cfg.Env.Run(cfg.Warmup + cfg.Duration)
@@ -213,53 +212,47 @@ func makeIdentities(env *sim.Env, g Group) []clientIdentity {
 // trace ID derived from the client's stable name and its page ordinal — pure
 // logical identity, so the sampler picks the same requests no matter how the
 // surrounding experiment is parallelized.
-func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern string, gen SessionGen, refill RefillGen) {
+func spawnClient(cfg Config, stats *Stats, g Group, id clientIdentity, pattern string, gen StreamGen) {
 	env := cfg.Env
 	client := Client{Node: g.ClientNode, ID: id.name}
 	tracer := trace.FromEnv(env)
 	env.SpawnAt(env.Now()+id.jitter, id.name, func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(id.seed))
 		end := cfg.Warmup + cfg.Duration
-		var steps []Step
+		var st StreamState
+		var step Step
 		var traceKey, traceSeq uint64
 		if tracer != nil {
 			traceKey = trace.ClientKey(id.name)
 		}
 		for p.Now() < end {
-			if refill != nil {
-				steps = refill(rng, steps[:0])
-			} else {
-				steps = gen(rng)
+			if ok, _ := nextStep(gen, rng, &st, &step); !ok {
+				return
 			}
-			for _, step := range steps {
-				if p.Now() >= end {
-					return
-				}
-				start := p.Now()
-				var endTrace func()
-				if tracer != nil {
-					endTrace = tracer.StartPage(p, trace.PageTraceID(traceKey, traceSeq), pattern, step.Page, g.ClientNode, g.Local)
-					traceSeq++
-				}
-				rt, err := g.Request(p, client, step)
-				if endTrace != nil {
-					endTrace()
-				}
-				if err != nil {
-					stats.RecordError(p.Now(), step.Page)
-				} else {
-					stats.Record(p.Now(), SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt)
-				}
-				if cfg.Observer != nil {
-					cfg.Observer(p.Now(), client, SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt, err)
-				}
-				// Soft think time: wait out the remainder of the
-				// Delay interval; if the response took longer than
-				// Delay, start the next request immediately.
-				elapsed := p.Now() - start
-				if wait := g.Delay - elapsed; wait > 0 {
-					p.Sleep(wait)
-				}
+			start := p.Now()
+			var endTrace func()
+			if tracer != nil {
+				endTrace = tracer.StartPage(p, trace.PageTraceID(traceKey, traceSeq), pattern, step.Page, g.ClientNode, g.Local)
+				traceSeq++
+			}
+			rt, err := g.Request(p, client, step)
+			if endTrace != nil {
+				endTrace()
+			}
+			if err != nil {
+				stats.RecordError(p.Now(), step.Page)
+			} else {
+				stats.Record(p.Now(), SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt)
+			}
+			if cfg.Observer != nil {
+				cfg.Observer(p.Now(), client, SeriesKey{Pattern: pattern, Page: step.Page, Local: g.Local}, rt, err)
+			}
+			// Soft think time: wait out the remainder of the Delay
+			// interval; if the response took longer than Delay, start the
+			// next request immediately.
+			elapsed := p.Now() - start
+			if wait := g.Delay - elapsed; wait > 0 {
+				p.Sleep(wait)
 			}
 		}
 	})

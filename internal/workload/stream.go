@@ -16,26 +16,12 @@ import (
 // struct in a single slab allocation. Memory is therefore bounded per class
 // (plus the slab, linear in clients at well under 100 B each), not per
 // session: 100k concurrent clients fit in a few megabytes where the process
-// driver spends a goroutine stack, a 5 KB rand.Rand and a fresh []Step per
-// session. Sessions advance as closure-free sim.Task state machines — two
-// engine events per page (request start, response completion), no goroutine
+// driver spends a goroutine stack, a 5 KB rand.Rand and a Step per client.
+// Sessions advance as closure-free sim.Task state machines — two engine
+// events per page (request start, response completion), no goroutine
 // handoff — and classes are partitioned across sim.Shards lanes by simnet
 // node, so one large run parallelizes across OS threads with deterministic
 // results for any worker count.
-
-// StreamState is the per-session generator state: the step position plus
-// three scratch registers generators use to carry cross-step context (the
-// Pet Store browser's current category/product, the bidder's item, ...).
-type StreamState struct {
-	Pos int32
-	R   [3]int64
-}
-
-// StreamGen writes the step at position st.Pos of one session into step
-// (already cleared) and returns false — writing nothing — when the session
-// is complete. The engine advances Pos; generators read st.R freely and may
-// draw from rng on any step. A fresh session arrives as the zero StreamState.
-type StreamGen func(rng *rand.Rand, st *StreamState, step *Step) bool
 
 // StreamRequest models one page request synchronously: it returns the
 // simulated response time (or an error counted against the page). It runs on
@@ -187,18 +173,13 @@ func (s *streamSession) Fire(e *sim.Env) {
 		return
 	}
 	step := &cr.scratch
-	step.Page = ""
-	if step.Params != nil {
-		clear(step.Params)
-	}
-	if !cr.class.Gen(cr.rng, &s.st, step) {
+	ok, ended := nextStep(cr.class.Gen, cr.rng, &s.st, step)
+	if ended {
 		cr.sessions++
-		s.st = StreamState{}
-		if !cr.class.Gen(cr.rng, &s.st, step) {
-			return // generator produces empty sessions; retire the client
-		}
 	}
-	s.st.Pos++
+	if !ok {
+		return // generator produces empty sessions; retire the client
+	}
 	s.page = step.Page
 	s.pageStart = e.Now()
 	rt, err := cr.class.Request(e, cr.class, &s.st, step)

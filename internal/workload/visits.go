@@ -7,14 +7,19 @@ import "math/rand"
 // private deterministic RNG. The planner derives its page weights from this
 // so the analytic model and the simulated workload share one definition of
 // a session; deterministic inputs give a deterministic map.
-func ExpectedVisits(gen SessionGen, n int, seed int64) map[string]float64 {
+func ExpectedVisits(gen StreamGen, n int, seed int64) map[string]float64 {
 	if n <= 0 {
 		n = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	counts := make(map[string]float64)
+	var step Step
 	for i := 0; i < n; i++ {
-		for _, step := range gen(rng) {
+		for st := (StreamState{}); ; st.Pos++ {
+			step.reset()
+			if !gen(rng, &st, &step) {
+				break
+			}
 			counts[step.Page]++
 		}
 	}

@@ -179,13 +179,13 @@ func fixedRequest(rt time.Duration) RequestFunc {
 	}
 }
 
-func singlePageGen(page string, n int) SessionGen {
-	return func(rng *rand.Rand) []Step {
-		steps := make([]Step, n)
-		for i := range steps {
-			steps[i] = Step{Page: page}
+func singlePageGen(page string, n int) StreamGen {
+	return func(rng *rand.Rand, st *StreamState, step *Step) bool {
+		if int(st.Pos) >= n {
+			return false
 		}
-		return steps
+		step.Page = page
+		return true
 	}
 }
 
@@ -295,13 +295,15 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 				Name: "g", ClientNode: "c", Local: true,
 				Browsers: 3, Delay: 500 * time.Millisecond,
 				BrowserPattern: "Browser",
-				BrowserGen: func(rng *rand.Rand) []Step {
-					n := rng.Intn(4) + 1
-					steps := make([]Step, n)
-					for i := range steps {
-						steps[i] = Step{Page: "P"}
+				BrowserGen: func(rng *rand.Rand, st *StreamState, step *Step) bool {
+					if st.Pos == 0 {
+						st.R[0] = int64(rng.Intn(4) + 1)
 					}
-					return steps
+					if int64(st.Pos) >= st.R[0] {
+						return false
+					}
+					step.Page = "P"
+					return true
 				},
 				Request: fixedRequest(7 * time.Millisecond),
 			}},
