@@ -120,7 +120,7 @@ func TestShardsSameLaneSend(t *testing.T) {
 	s.Close()
 }
 
-// TestShardsProcsInLanes checks goroutine processes work inside lanes: each
+// TestShardsProcsInLanes checks coroutine processes work inside lanes: each
 // lane's Proc sleeps and the clocks stay in lockstep at barriers.
 func TestShardsProcsInLanes(t *testing.T) {
 	s := NewShards(7, 3, 10*time.Millisecond)

@@ -8,11 +8,12 @@
 // wall-clock time executes in milliseconds and every run with the same seed
 // is byte-for-byte reproducible.
 //
-// Exactly one process goroutine runs at a time: the scheduler and the running
-// process hand control back and forth over unbuffered channels, so process
-// code needs no locking. Blocking operations (Proc.Sleep, Await,
-// Resource.Acquire) may only be called from process goroutines, never from
-// raw event callbacks scheduled with Env.At.
+// Each process is an iter.Pull coroutine (see proc.go). Exactly one of the
+// scheduler and the processes runs at a time: resuming a process is a direct
+// coroutine switch, not a goroutine wake-up, and the process switches back
+// when it blocks, so process code needs no locking. Blocking operations
+// (Proc.Sleep, Await, Resource.Acquire) may only be called from process
+// code, never from raw event callbacks scheduled with Env.At.
 package sim
 
 import (
@@ -23,11 +24,6 @@ import (
 
 	"wadeploy/internal/metrics"
 )
-
-// errKilled is panicked inside a blocked process when the environment is
-// closed, unwinding the process goroutine. It is recovered by the process
-// wrapper and never escapes to user code.
-var errKilled = errors.New("sim: process killed by Env.Close")
 
 // ErrClosed is returned by operations on an environment that has been closed.
 var ErrClosed = errors.New("sim: environment closed")
@@ -117,8 +113,8 @@ func (h eventHeap) down(i int) {
 }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
-// Create one with NewEnv; it is not safe for concurrent use from multiple
-// OS-level goroutines other than through the engine's own handoff protocol.
+// Create one with NewEnv; it is not safe for concurrent use: its scheduler
+// and processes run one at a time, never in parallel.
 type Env struct {
 	now        time.Duration
 	seq        uint64
@@ -126,8 +122,7 @@ type Env struct {
 	dispatched uint64
 	rng        *rand.Rand
 
-	yield  chan struct{}  // a running process signals the scheduler here
-	live   map[*Proc]bool // processes that have started and not finished
+	live   map[*Proc]bool // processes that have been spawned and not finished
 	closed bool
 	inRun  bool
 	curr   *Proc // process currently holding control, if any
@@ -141,9 +136,8 @@ type Env struct {
 // NewEnv returns a fresh environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	e := &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]bool),
+		rng:  rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]bool),
 	}
 	e.events.memoTick = -1
 	return e
@@ -171,9 +165,8 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Metrics returns the environment's metrics registry, creating it on first
 // use. The registry reads the virtual clock, so sampled series are as
-// deterministic as the run itself. Instruments are mutated only under the
-// engine's one-goroutine-at-a-time handoff protocol and therefore take no
-// locks.
+// deterministic as the run itself. Instruments are mutated only by the
+// scheduler or the one process it has resumed, and therefore take no locks.
 func (e *Env) Metrics() *metrics.Registry {
 	if e.metrics == nil {
 		e.metrics = metrics.NewRegistry(func() time.Duration { return e.now })
@@ -228,112 +221,6 @@ func (e *Env) scheduleProc(at time.Duration, p *Proc) {
 	e.events.push(event{at: at, seq: e.seq, proc: p}, e.now)
 }
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// deterministically with all other processes by the environment.
-type Proc struct {
-	env      *Env
-	name     string
-	resume   chan struct{}
-	kill     bool
-	traceCtx any // opaque per-process slot for a causal tracer's span state
-}
-
-// SetTraceCtx stores an opaque causal-tracing context on the process. The
-// slot belongs to whatever tracer is installed on the environment; sim itself
-// never reads it.
-func (p *Proc) SetTraceCtx(v any) { p.traceCtx = v }
-
-// TraceCtx returns the value stored with SetTraceCtx (nil when untraced —
-// the zero-cost fast-path check instrumentation relies on).
-func (p *Proc) TraceCtx() any { return p.traceCtx }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Now is shorthand for p.Env().Now().
-func (p *Proc) Now() time.Duration { return p.env.now }
-
-// Rand is shorthand for p.Env().Rand().
-func (p *Proc) Rand() *rand.Rand { return p.env.rng }
-
-// Spawn starts a new process running fn at the current virtual time. The
-// process begins execution when the scheduler reaches its start event during
-// Run or RunAll.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
-}
-
-// SpawnAt starts a new process running fn at virtual time at.
-func (e *Env) SpawnAt(at time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	if e.closed {
-		return p
-	}
-	e.live[p] = true
-	go func() {
-		<-p.resume
-		if p.kill {
-			// Killed before first resume: unwind without running fn.
-			delete(e.live, p)
-			e.yield <- struct{}{}
-			return
-		}
-		defer func() {
-			delete(e.live, p)
-			if r := recover(); r != nil && r != any(errKilled) {
-				// Capture application panics; the scheduler re-raises them
-				// on its own goroutine so tests can observe them.
-				e.fatal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			e.curr = nil
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.scheduleProc(at, p)
-	return p
-}
-
-// step transfers control to p and waits until p yields back. If the process
-// panicked, the panic is re-raised here on the scheduler goroutine.
-func (e *Env) step(p *Proc) {
-	e.curr = p
-	p.resume <- struct{}{}
-	<-e.yield
-	if e.fatal != nil {
-		f := e.fatal
-		e.fatal = nil
-		panic(f)
-	}
-}
-
-// pause yields control from the running process back to the scheduler and
-// blocks until the process is resumed. It panics with errKilled if the
-// environment was closed while the process was blocked.
-func (p *Proc) pause() {
-	p.env.curr = nil
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.kill {
-		panic(errKilled)
-	}
-	p.env.curr = p
-}
-
-// Sleep suspends the process for d of virtual time. Negative durations are
-// treated as zero.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e := p.env
-	e.scheduleProc(e.now+d, p)
-	p.pause()
-}
-
 // Run executes events in timestamp order until the virtual clock would pass
 // until, until no events remain, or until Close has been called. The clock is
 // left at the time of the last executed event (or at until, whichever is
@@ -380,25 +267,6 @@ func (e *Env) RunAll() {
 			ev.fn()
 		}
 	}
-}
-
-// Close terminates the simulation: every live process is unwound (its
-// deferred functions run) and no further events execute. Close must not be
-// called from inside a process; call it after Run/RunAll returns. It is
-// idempotent.
-func (e *Env) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for p := range e.live {
-		p.kill = true
-		e.step(p)
-	}
-	// Pending events — raw callbacks and task firings included — are
-	// dropped, never executed: tasks have no goroutine to unwind, so Close
-	// for them means "will not fire" (pinned by TestTaskCloseSemantics).
-	e.events.reset()
 }
 
 // Promise is a write-once container used for request/response rendezvous

@@ -4,9 +4,9 @@ import "time"
 
 // Task is the closure-free fast path for event-driven state machines: the
 // engine stores the Task value in the event slot and calls Fire directly when
-// its deadline arrives — no goroutine, no channel handoff, no per-event
-// closure allocation. A million idle sessions as tasks cost their struct
-// bytes, not a goroutine stack apiece.
+// its deadline arrives — no coroutine switch, no per-event closure
+// allocation. A million idle sessions as tasks cost their struct bytes, not
+// a coroutine stack apiece.
 //
 // Contract versus Proc:
 //
@@ -17,7 +17,7 @@ import "time"
 //   - A task holds control until Fire returns; it may schedule any mix of
 //     events, tasks and processes, which run in (at, seq) order as usual.
 //   - Close drops pending task firings without calling Fire — tasks have no
-//     goroutine to unwind, so there is no kill notification. State machines
+//     coroutine to unwind, so there is no kill notification. State machines
 //     needing teardown must keep their own registry outside the engine.
 type Task interface {
 	Fire(e *Env)

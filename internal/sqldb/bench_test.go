@@ -196,3 +196,36 @@ func TestIndexJoinAllocGuard(t *testing.T) {
 		t.Fatalf("index join allocates %.1f/op for %d rows, ceiling %.0f", avg, rows, ceiling)
 	}
 }
+
+// TestProjectRowAllocGuard pins projection at one row slice per projected
+// row, whatever the output width: a six-column ORDER BY … LIMIT must
+// allocate no more than the same query projecting one column. Growing the
+// row a Value at a time would add three reallocations per row (capacity
+// 1→2→4→8).
+func TestProjectRowAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard runs without -race")
+	}
+	db := newBenchDB(t)
+	allocs := func(query string) float64 {
+		st, err := db.PrepareStmt(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			r, err := st.Exec()
+			if err != nil || r.Len() != 25 {
+				t.Fatalf("rows=%d err=%v", r.Len(), err)
+			}
+		})
+	}
+	narrow := allocs(`SELECT id FROM item ORDER BY id LIMIT 25`)
+	for _, q := range []string{
+		`SELECT id, grp, name, price, name, id FROM item ORDER BY id LIMIT 25`,
+		`SELECT *, name, id FROM item ORDER BY id LIMIT 25`,
+	} {
+		if wide := allocs(q); wide > narrow {
+			t.Errorf("%s: %.0f allocs/op, want %.0f (one row slice per row, as for one column)", q, wide, narrow)
+		}
+	}
+}

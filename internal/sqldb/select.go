@@ -421,8 +421,21 @@ func itemsHaveAggregate(items []SelectItem) bool {
 }
 
 // projectRow computes the output row for one match in non-aggregate mode.
+// The row is allocated once at its exact width: it is the bulk of a query's
+// allocation, and growing it a Value at a time reallocated it log2(width)
+// times.
 func projectRow(s *SelectStmt, ctx *evalCtx) ([]Value, error) {
-	var out []Value
+	width := 0
+	for _, item := range s.Items {
+		if !item.Star {
+			width++
+			continue
+		}
+		for _, bt := range ctx.tables {
+			width += len(bt.vals)
+		}
+	}
+	out := make([]Value, 0, width)
 	for _, item := range s.Items {
 		if item.Star {
 			for _, bt := range ctx.tables {
