@@ -12,7 +12,7 @@ BENCH_BASELINE ?= BENCH_PR9.json
 # are noisy, so the gate only catches real cliffs).
 BENCH_TOLERANCE ?= 0.3
 
-.PHONY: all verify build vet test race bench bench-smoke bench-check perfbench-check determinism profile repro repro-quick examples clean
+.PHONY: all verify build vet test race bench bench-smoke bench-check perfbench-check determinism loc profile repro repro-quick examples clean
 
 all: verify
 
@@ -76,6 +76,10 @@ bench-check:
 # sequential and the parallel scheduler (see scripts/determinism.sh).
 determinism:
 	sh scripts/determinism.sh
+
+# Non-test Go lines outside perfbench/: the size figure each change reports.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # CPU and heap profiles over the Figure-7 session benchmark (the workload
 # most representative of paper runs). Inspect with `go tool pprof

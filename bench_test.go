@@ -541,7 +541,7 @@ func BenchmarkAblationDeltaVsFullPush(b *testing.B) {
 				b.Fatal(err)
 			}
 			rw.SetDeltaPush(delta)
-			ro, err := container.DeployROEntity(edge, "WideRO", "Wide", nil)
+			ro, err := container.DeployROEntity(edge, "WideRO", nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -620,7 +620,7 @@ func BenchmarkBatchedPushThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			rw.SetDeltaPush(true)
-			ro, err := container.DeployROEntity(edge, "WideRO", "Wide", nil)
+			ro, err := container.DeployROEntity(edge, "WideRO", nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -719,7 +719,7 @@ func BenchmarkAblationSeqVsParallelFanOut(b *testing.B) {
 			var targets []container.SyncTarget
 			for _, edgeName := range []string{simnet.NodeEdge1, simnet.NodeEdge2} {
 				edge := mk(edgeName)
-				ro, err := container.DeployROEntity(edge, "KVRO", "KV", nil)
+				ro, err := container.DeployROEntity(edge, "KVRO", nil)
 				if err != nil {
 					b.Fatal(err)
 				}

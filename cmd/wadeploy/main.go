@@ -15,14 +15,16 @@
 // (concurrent runs per table/sweep; 0 = one per CPU, 1 = sequential),
 // -faults canonical|FILE (arm a WAN fault schedule plus the default
 // resilience policies on every run; refused with scale, whose analytic
-// request model has no network; the faults command prints the
+// request model has no network, and canonical is refused with topo, whose
+// hierarchies lack the star's links; the faults command prints the
 // availability table — per-page success rates on the partitioned edge),
 // -diag (CPU/RMI/JMS counters), -p95 (tail-latency tables), -ext (append the
 // DB-replication extension row), -csv FILE (long-format export),
 // -metrics-out FILE (full registry snapshots as JSON; -metrics-tick sets the
 // virtual-time series sampling interval), -json (machine-readable explain
-// output, one span per line), and -app/-config to select the target of
-// plan, explain and the sweeps. plan runs the deployment advisor
+// output, one span per line), -app to select the application of every
+// single-app command, and -config the configuration of explain, adapt, topo
+// and the sweeps. plan runs the deployment advisor
 // (internal/planner): it ranks every valid pattern combination by predicted
 // mean response time and prints the recommended placement; -sim adds
 // simulated means and prediction error, -json emits the full advisor
@@ -95,7 +97,7 @@ func run(args []string) error {
 	metricsTick := fs.Duration("metrics-tick", time.Minute, "virtual-time sampling interval for counter/gauge series (with -metrics-out)")
 	jsonOut := fs.Bool("json", false, "machine-readable output (explain: one JSON span per line; plan: full advisor document)")
 	sim := fs.Bool("sim", false, "with plan: also simulate the five paper configurations and print prediction error")
-	appFlag := fs.String("app", "petstore", "application for sweeps: petstore|rubis")
+	appFlag := fs.String("app", "petstore", "application for the single-app commands: petstore|rubis")
 	cfgFlag := fs.String("config", "async-updates", "configuration for sweeps: centralized|remote-facade|stateful-caching|query-caching|async-updates")
 	faultsFlag := fs.String("faults", "", "fault schedule: 'canonical' or a JSON schedule file; arms the WAN-outage script and the resilience policies on every run")
 	sessions := fs.Int("sessions", 100000, "scale: concurrent client sessions")
@@ -108,6 +110,10 @@ func run(args []string) error {
 	partitions := fs.Int("partitions", 8, "topo: hash partitions for the hot entities (0 = full replication)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	app := experiment.AppID(*appFlag)
+	if app != experiment.PetStore && app != experiment.RUBiS {
+		return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
 	}
 	opts := experiment.RunOptions{Seed: *seed, Warmup: *warmup, Duration: *duration}
 	if *quick {
@@ -132,6 +138,9 @@ func run(args []string) error {
 	if *faultsFlag != "" && slices.Contains(cmds, "scale") {
 		return fmt.Errorf("-faults does not apply to scale: its analytic request model has no network to fault")
 	}
+	if *faultsFlag == "canonical" && slices.Contains(cmds, "topo") {
+		return fmt.Errorf("-faults canonical names the star's links (edge1-router, edge2-router), which topo's hierarchies lack: pass a schedule file naming hierarchy links such as edge000-hub00")
+	}
 	for _, cmd := range cmds {
 		switch cmd {
 		case "table6":
@@ -151,10 +160,6 @@ func run(args []string) error {
 				return err
 			}
 		case "metrics":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			}
 			var results []*experiment.Result
 			var err error
 			if *ext {
@@ -173,39 +178,21 @@ func run(args []string) error {
 				}
 			}
 		case "faults":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
-			}
 			if err := availability(app, opts, *diag, *metricsOut); err != nil {
 				return err
 			}
 		case "consistency":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
-			}
 			if err := consistency(app, opts, *diag); err != nil {
 				return err
 			}
 		case "inventory":
 			printInventory()
 		case "plan":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
-			}
 			if err := plan(app, *jsonOut, *sim, *observed, *cfgFlag, opts); err != nil {
 				return err
 			}
 		case "adapt":
-			app, cfg, err := sweepTarget(*appFlag, *cfgFlag)
+			cfg, err := parseConfig(*cfgFlag)
 			if err != nil {
 				return err
 			}
@@ -213,7 +200,7 @@ func run(args []string) error {
 				return err
 			}
 		case "explain":
-			app, cfg, err := sweepTarget(*appFlag, *cfgFlag)
+			cfg, err := parseConfig(*cfgFlag)
 			if err != nil {
 				return err
 			}
@@ -221,7 +208,7 @@ func run(args []string) error {
 				return err
 			}
 		case "sweep-latency":
-			app, cfg, err := sweepTarget(*appFlag, *cfgFlag)
+			cfg, err := parseConfig(*cfgFlag)
 			if err != nil {
 				return err
 			}
@@ -236,7 +223,7 @@ func run(args []string) error {
 			fmt.Printf("WAN-latency sweep: %s / %s\n", app, cfg.Title())
 			fmt.Print(experiment.FormatSweep("wan-one-way-ms", pts))
 		case "sweep-load":
-			app, cfg, err := sweepTarget(*appFlag, *cfgFlag)
+			cfg, err := parseConfig(*cfgFlag)
 			if err != nil {
 				return err
 			}
@@ -251,7 +238,7 @@ func run(args []string) error {
 				return err
 			}
 		case "topo":
-			app, cfg, err := sweepTarget(*appFlag, *cfgFlag)
+			cfg, err := parseConfig(*cfgFlag)
 			if err != nil {
 				return err
 			}
@@ -259,12 +246,6 @@ func run(args []string) error {
 				return err
 			}
 		case "trace":
-			app := experiment.PetStore
-			if *appFlag == "rubis" {
-				app = experiment.RUBiS
-			} else if *appFlag != "petstore" {
-				return fmt.Errorf("unknown app %q (want petstore|rubis)", *appFlag)
-			}
 			if err := traceReport(app, opts, *cfgFlag, *jsonOut, *ext, *sample); err != nil {
 				return err
 			}
@@ -406,23 +387,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// sweepTarget resolves the -app and -config flags.
-func sweepTarget(app, cfg string) (experiment.AppID, core.ConfigID, error) {
-	var a experiment.AppID
-	switch app {
-	case "petstore":
-		a = experiment.PetStore
-	case "rubis":
-		a = experiment.RUBiS
-	default:
-		return "", 0, fmt.Errorf("unknown app %q (want petstore|rubis)", app)
-	}
+// parseConfig resolves the -config flag.
+func parseConfig(cfg string) (core.ConfigID, error) {
 	for _, c := range core.Configs {
 		if c.String() == cfg {
-			return a, c, nil
+			return c, nil
 		}
 	}
-	return "", 0, fmt.Errorf("unknown config %q", cfg)
+	return 0, fmt.Errorf("unknown config %q", cfg)
 }
 
 func table(app experiment.AppID, opts experiment.RunOptions, figure, diag, p95, ext bool, csvPath, metricsOut string) error {

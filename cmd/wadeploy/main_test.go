@@ -80,6 +80,7 @@ func TestRunErrors(t *testing.T) {
 		{"-config", "nope", "sweep-latency"},
 		{"-app", "nope", "explain"},
 		{"-app", "nope", "faults"},
+		{"-app", "nope", "metrics"},
 		{"-faults", "/nonexistent/schedule.json", "table6"},
 	}
 	for _, args := range cases {

@@ -113,7 +113,7 @@ func wireBatched(t *testing.T, f *fixture, window time.Duration) (*RWEntity, *RO
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
+	ro, err := DeployROEntity(f.edge, "InvRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestBatchingPropagatorTopicMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
+	ro, err := DeployROEntity(f.edge, "InvRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

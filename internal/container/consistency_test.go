@@ -19,7 +19,7 @@ func TestROEntityTTLInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return rw.Load(p, pk)
 	})
@@ -54,7 +54,7 @@ func TestROEntityTTLInvalidation(t *testing.T) {
 func TestROEntityTTLResetByPush(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return State{"v": sqldb.Int(1)}, nil
 	})
@@ -86,7 +86,7 @@ func TestROEntityPropagationDelayMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSyncPropagatorBestEffortSkipsPartitionedEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDeltaPushMergesChangedFieldsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDeltaPushWithoutLocalCopyIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw.SetDeltaPush(true)
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return rw.Load(p, pk)
 	})
@@ -359,7 +359,7 @@ func TestParallelSyncPushOverlapsFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, edge := range []*Server{e1, e2} {
-			ro, err := DeployROEntity(edge, "KVRO", "KV", nil)
+			ro, err := DeployROEntity(edge, "KVRO", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -237,7 +237,7 @@ func TestSyncPropagatorBlocksWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestAsyncPropagatorDoesNotBlockWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "InventoryRO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return rw.Load(p, pk) // stands in for the remote façade call
 	})
@@ -361,7 +361,7 @@ func TestROEntityHitMissAndPullRefresh(t *testing.T) {
 
 func TestROEntityWithoutFetchPath(t *testing.T) {
 	f := newFixture(t)
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestROEntityWithoutFetchPath(t *testing.T) {
 func TestROEntityPreloadAndInvalidateAll(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return State{"v": sqldb.Int(99)}, nil
 	})

@@ -32,7 +32,7 @@ func TestROEntityServesStaleDuringPartition(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InvRO", "Inventory", fetch)
+	ro, err := DeployROEntity(f.edge, "InvRO", fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestQueryCacheServesStaleDuringPartition(t *testing.T) {
 // deployments that never call SetServeStale export no stale-serve metrics.
 func TestNoStaleServeMetricsWithoutBound(t *testing.T) {
 	f := newFixture(t)
-	if _, err := DeployROEntity(f.edge, "InvRO", "Inventory", nil); err != nil {
+	if _, err := DeployROEntity(f.edge, "InvRO", nil); err != nil {
 		t.Fatal(err)
 	}
 	NewQueryCache(f.edge, "itemsOf", nil)

@@ -109,7 +109,6 @@ type RWEntity struct {
 	deleteSQL  string
 	findPrefix string
 
-	loads  int64
 	writes int64
 
 	mLoad  *metrics.Counter
@@ -137,9 +136,6 @@ func DeployRWEntity(srv *Server, name, table, pkCol string) (*RWEntity, error) {
 
 // Name returns the bean's deployment name.
 func (b *RWEntity) Name() string { return b.name }
-
-// Loads returns the number of ejbLoad operations performed.
-func (b *RWEntity) Loads() int64 { return b.loads }
 
 // Writes returns the number of committed write operations.
 func (b *RWEntity) Writes() int64 { return b.writes }
@@ -201,7 +197,6 @@ func (b *RWEntity) Propagators() int { return len(b.props) }
 // ejbLoad; the paper's baseline removes the redundant extra database call,
 // so this is a single SELECT).
 func (b *RWEntity) Load(p *sim.Proc, pk sqldb.Value) (State, error) {
-	b.loads++
 	b.mLoad.Inc()
 	b.srv.Compute(p, b.srv.costs.EntityLoadCPU)
 	res, err := b.srv.SQL(p, b.loadSQL, pk)
@@ -359,7 +354,6 @@ type FetchFunc func(p *sim.Proc, pk sqldb.Value) (State, error)
 type ROEntity struct {
 	srv   *Server
 	name  string
-	rw    string // name of the backing read-write bean
 	fetch FetchFunc
 	ttl   time.Duration // 0 = no timeout invalidation
 
@@ -404,10 +398,10 @@ type roEntry struct {
 	loadedAt time.Duration
 }
 
-// DeployROEntity deploys a read-only replica of rwBean. fetch is used on
-// cold misses and pull refreshes; it may be nil for strictly push-fed
-// replicas that tolerate ErrNoSuchEntity on cold reads.
-func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntity, error) {
+// DeployROEntity deploys a read-only replica of a read-write bean. fetch is
+// used on cold misses and pull refreshes; it may be nil for strictly
+// push-fed replicas that tolerate ErrNoSuchEntity on cold reads.
+func DeployROEntity(srv *Server, name string, fetch FetchFunc) (*ROEntity, error) {
 	if _, dup := srv.beans[name]; dup {
 		return nil, fmt.Errorf("container: bean %s already deployed on %s", name, srv.name)
 	}
@@ -415,7 +409,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 	b := &ROEntity{
 		srv:        srv,
 		name:       name,
-		rw:         rwBean,
 		fetch:      fetch,
 		entries:    make(map[string]roEntry),
 		mHits:      reg.Counter("container_replica_hits_total"),
@@ -430,9 +423,6 @@ func DeployROEntity(srv *Server, name, rwBean string, fetch FetchFunc) (*ROEntit
 
 // Name returns the bean's deployment name.
 func (b *ROEntity) Name() string { return b.name }
-
-// Backing returns the read-write bean this replica mirrors.
-func (b *ROEntity) Backing() string { return b.rw }
 
 // Hits, Misses, Pushes report cache behavior for tests and reports.
 func (b *ROEntity) Hits() int64   { return b.hits }

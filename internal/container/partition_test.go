@@ -75,7 +75,7 @@ func TestRangePartitionBounds(t *testing.T) {
 func TestPartitionedReplicaOwnership(t *testing.T) {
 	f := newFixture(t)
 	fetches := 0
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		fetches++
 		return State{"v": sqldb.Int(99)}, nil
 	})
@@ -139,7 +139,7 @@ func TestSyncPropagatorTargetFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InventoryRO", "InventoryRW", nil)
+	ro, err := DeployROEntity(f.edge, "InventoryRO", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSyncPropagatorTargetFilter(t *testing.T) {
 func TestPartitionScopedServeStale(t *testing.T) {
 	f := newFixture(t)
 	central := true
-	ro, err := DeployROEntity(f.edge, "RO", "RW", func(p *sim.Proc, pk sqldb.Value) (State, error) {
+	ro, err := DeployROEntity(f.edge, "RO", func(p *sim.Proc, pk sqldb.Value) (State, error) {
 		if !central {
 			return nil, errors.New("central site unreachable")
 		}

@@ -142,7 +142,7 @@ func (f *fixtureP) wireSync() (*RWEntity, *ROEntity) {
 	if err != nil {
 		panic(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
+	ro, err := DeployROEntity(f.edge, "InvRO", nil)
 	if err != nil {
 		panic(err)
 	}
@@ -161,7 +161,7 @@ func (f *fixtureP) wireAsync() (*RWEntity, *ROEntity) {
 	if err != nil {
 		panic(err)
 	}
-	ro, err := DeployROEntity(f.edge, "InvRO", "InvRW", nil)
+	ro, err := DeployROEntity(f.edge, "InvRO", nil)
 	if err != nil {
 		panic(err)
 	}

@@ -88,7 +88,7 @@ func TestPropertyLogReplayEquivalentToDirectApplication(t *testing.T) {
 			// Live replica fed over JMS: its pushes are lost during the
 			// partition below, which is exactly the hole the log replay
 			// must close.
-			live, err := container.DeployROEntity(edge, "InvRO", "InvRW", nil)
+			live, err := container.DeployROEntity(edge, "InvRO", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestPropertyLogReplayEquivalentToDirectApplication(t *testing.T) {
 			sort.Ints(epochs)
 			l := store.Log("InvRW")
 			for _, e := range epochs {
-				ro, err := container.DeployROEntity(edge, fmt.Sprintf("Replay%d", e), "InvRW", nil)
+				ro, err := container.DeployROEntity(edge, fmt.Sprintf("Replay%d", e), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

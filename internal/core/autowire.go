@@ -241,7 +241,7 @@ func (w *Wiring) ExtendTo(server *container.Server) error {
 		if w.opts.FetchFor != nil {
 			fetch = w.opts.FetchFor(server, spec.Bean)
 		}
-		ro, err := container.DeployROEntity(server, spec.Bean+"RO", spec.Bean, fetch)
+		ro, err := container.DeployROEntity(server, spec.Bean+"RO", fetch)
 		if err != nil {
 			return fmt.Errorf("core: autowire replica %s on %s: %w", spec.Bean, server.Name(), err)
 		}
@@ -323,16 +323,6 @@ func (w *Wiring) ReplicaBeans() []string {
 	return out
 }
 
-// LeasePropagator returns the bounded-staleness batcher for rwBean, or nil
-// when the bean is not lease-replicated.
-func (w *Wiring) LeasePropagator(rwBean string) *container.BatchingPropagator {
-	return w.leaseProps[rwBean]
-}
-
-// AsyncBatcher returns the shared batched-async publisher, or nil when
-// async pushes are unbatched.
-func (w *Wiring) AsyncBatcher() *container.BatchingPropagator { return w.asyncBatch }
-
 // Deployment returns the deployment the wiring extends.
 func (w *Wiring) Deployment() *Deployment { return w.d }
 
@@ -343,9 +333,6 @@ func (w *Wiring) Deployment() *Deployment { return w.d }
 func (w *Wiring) Provides() (entities, queries, async bool) {
 	return len(w.ext.Replicas) > 0, len(w.ext.CachedQueries) > 0, w.anyAsync
 }
-
-// UpdaterFacadeName returns the JNDI name of the per-server updater façade.
-func (w *Wiring) UpdaterFacadeName() string { return w.updaterName() }
 
 // SuspendTargets stops synchronous pushes to server's updater façade — the
 // retirement half of the controller's decisions, taken when an edge has been

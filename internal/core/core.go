@@ -188,6 +188,14 @@ func NewPaperDeployment(env *sim.Env, opts Options) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return deployOn(env, net, opts, simnet.ServerNodes, nil)
+}
+
+// deployOn populates a built network: the database on its node, the
+// shared RMI runtime and JMS provider, and one application server per
+// server node (main first in d.Main, the rest in d.Edges). clientOf maps
+// server node -> collocated client node; nil selects the paper's map.
+func deployOn(env *sim.Env, net *simnet.Network, opts Options, servers []string, clientOf map[string]string) (*Deployment, error) {
 	db := sqldb.New()
 	db.SetCostModel(opts.DBCost)
 	InstrumentDB(env.Metrics(), db)
@@ -210,11 +218,12 @@ func NewPaperDeployment(env *sim.Env, opts Options) (*Deployment, error) {
 		Resilience:  opts.Resilience,
 		Replication: opts.Replication,
 		rw:          make(map[string]*container.RWEntity),
+		clientOf:    clientOf,
 	}
 	if r := opts.Replication; r != nil && r.EventLog {
 		d.Replog = replog.NewStore(env.Metrics(), r.LogRetention)
 	}
-	for _, name := range simnet.ServerNodes {
+	for _, name := range servers {
 		srv, err := container.NewServer(container.Config{
 			Name:   name,
 			DBNode: simnet.NodeDB,

@@ -9,9 +9,6 @@ import (
 	"sort"
 
 	"wadeploy/internal/container"
-	"wadeploy/internal/jms"
-	"wadeploy/internal/replog"
-	"wadeploy/internal/rmi"
 	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 	"wadeploy/internal/sqldb"
@@ -27,52 +24,9 @@ func NewHierarchicalDeployment(env *sim.Env, opts Options, spec simnet.Hierarchy
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	db := sqldb.New()
-	db.SetCostModel(opts.DBCost)
-	InstrumentDB(env.Metrics(), db)
-	if r := opts.Resilience; r != nil {
-		opts.RMI.Retry = r.Retry
-		opts.RMI.Breaker = r.Breaker
-		opts.JMS.Redelivery = r.Redelivery
-	}
-	rt := rmi.NewRuntime(h.Net, opts.RMI)
-	provider, err := jms.NewProvider(h.Net, simnet.NodeMain, opts.JMS)
+	d, err := deployOn(env, h.Net, opts, h.ServerNodes(), h.ClientMap())
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	d := &Deployment{
-		Env:         env,
-		Net:         h.Net,
-		DB:          db,
-		RMI:         rt,
-		JMS:         provider,
-		Resilience:  opts.Resilience,
-		Replication: opts.Replication,
-		rw:          make(map[string]*container.RWEntity),
-		clientOf:    h.ClientMap(),
-	}
-	if r := opts.Replication; r != nil && r.EventLog {
-		d.Replog = replog.NewStore(env.Metrics(), r.LogRetention)
-	}
-	for _, name := range h.ServerNodes() {
-		srv, err := container.NewServer(container.Config{
-			Name:   name,
-			DBNode: simnet.NodeDB,
-			DB:     db,
-			Net:    h.Net,
-			RMI:    rt,
-			JMS:    provider,
-			Web:    opts.Web,
-			Costs:  opts.Costs,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: server %s: %w", name, err)
-		}
-		if name == simnet.NodeMain {
-			d.Main = srv
-		} else {
-			d.Edges = append(d.Edges, srv)
-		}
+		return nil, nil, err
 	}
 	return d, h, nil
 }
@@ -81,19 +35,22 @@ func NewHierarchicalDeployment(env *sim.Env, opts Options, spec simnet.Hierarchy
 // one partitioned bean. Servers absent from the map own nothing.
 type PartitionAssignment map[string][]int
 
-// RoundRobinAssignment spreads partitions over the edges in ring order
-// (partition p lands on edges[p mod len(edges)]) — the deterministic default
-// when the planner has no rate information to do better.
-func RoundRobinAssignment(spec *container.PartitionSpec, edges []string) PartitionAssignment {
-	asg := make(PartitionAssignment, len(edges))
-	if spec == nil || len(edges) == 0 {
-		return asg
+// RoundRobinAssignment validates spec and spreads its partitions over d's
+// edges in ring order (partition p lands on Edges[p mod len(Edges)]). Nil
+// spec (full replication) yields a nil assignment.
+func (d *Deployment) RoundRobinAssignment(spec *container.PartitionSpec) (PartitionAssignment, error) {
+	if err := spec.Validate(); err != nil || spec == nil {
+		return nil, err
+	}
+	asg := make(PartitionAssignment, len(d.Edges))
+	if len(d.Edges) == 0 {
+		return asg, nil
 	}
 	for p := 0; p < spec.Partitions; p++ {
-		e := edges[p%len(edges)]
+		e := d.Edges[p%len(d.Edges)].Name()
 		asg[e] = append(asg[e], p)
 	}
-	return asg
+	return asg, nil
 }
 
 // Owned returns the sorted partition list assigned to server.

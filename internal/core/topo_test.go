@@ -46,16 +46,26 @@ func TestHierarchicalDeploymentShape(t *testing.T) {
 }
 
 func TestRoundRobinAssignment(t *testing.T) {
-	spec := &container.PartitionSpec{Scheme: container.HashPartition, Partitions: 5}
-	asg := RoundRobinAssignment(spec, []string{"e0", "e1"})
-	if got := asg.Owned("e0"); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("e0 owns %v", got)
+	d, _ := newHierDeployment(t, simnet.HierarchySpec{Edges: 2})
+	e0, e1 := d.Edges[0].Name(), d.Edges[1].Name()
+	asg, err := d.RoundRobinAssignment(&container.PartitionSpec{Scheme: container.HashPartition, Partitions: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := asg.Owned("e1"); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("e1 owns %v", got)
+	if got := asg.Owned(e0); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
+		t.Fatalf("%s owns %v", e0, got)
+	}
+	if got := asg.Owned(e1); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("%s owns %v", e1, got)
 	}
 	if got := asg.Owned("absent"); len(got) != 0 {
 		t.Fatalf("absent owns %v", got)
+	}
+	if asg, err := d.RoundRobinAssignment(nil); asg != nil || err != nil {
+		t.Fatalf("nil spec: %v, %v; want full replication", asg, err)
+	}
+	if _, err := d.RoundRobinAssignment(&container.PartitionSpec{Scheme: container.HashPartition}); err == nil {
+		t.Fatal("zero-partition spec accepted")
 	}
 }
 

@@ -159,11 +159,7 @@ func RunAvailability(app AppID, opts RunOptions) ([]*AvailabilityResult, error) 
 	}
 	node := simnet.NodeClientsEdge1
 
-	patterns := petStorePatterns
-	if app == RUBiS {
-		patterns = rubisPatterns
-	}
-	browsePattern := patterns[0]
+	browsePattern := apps[app].patterns[0]
 
 	out := make([]*AvailabilityResult, len(core.Configs))
 	err := forEachParallel(opts.Parallelism, len(core.Configs), func(i int) error {

@@ -8,8 +8,6 @@ import (
 	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
-	"wadeploy/internal/petstore"
-	"wadeploy/internal/rubis"
 )
 
 // ConsistencyArm is one point on the staleness-latency spectrum: a name and
@@ -86,18 +84,6 @@ func (r *ConsistencyResult) MsgsPerCommit() float64 {
 	return float64(r.Msgs) / float64(r.Commits)
 }
 
-// snapCounter returns a counter's value from a registry snapshot (0 when the
-// counter was never registered — lazily registered families stay absent on
-// arms that do not arm them).
-func snapCounter(s *metrics.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
 // snapHistogram returns a histogram snapshot by name, or nil.
 func snapHistogram(s *metrics.Snapshot, name string) *metrics.HistogramSnapshot {
 	for i := range s.Histograms {
@@ -115,10 +101,7 @@ func snapHistogram(s *metrics.Snapshot, name string) *metrics.HistogramSnapshot 
 // byte-identical results.
 func RunConsistency(app AppID, opts RunOptions) ([]*ConsistencyResult, error) {
 	arms := ConsistencyArms()
-	pattern, page := petstore.PatternBuyer, petstore.PageCommit
-	if app == RUBiS {
-		pattern, page = rubis.PatternBidder, rubis.PageStoreBid
-	}
+	pattern, page := apps[app].commit.Pattern, apps[app].commit.Page
 	out := make([]*ConsistencyResult, len(arms))
 	err := forEachParallel(opts.Parallelism, len(arms), func(i int) error {
 		ropts := opts
@@ -134,12 +117,12 @@ func RunConsistency(app AppID, opts RunOptions) ([]*ConsistencyResult, error) {
 			Page:        page,
 			WriteLocal:  full.Mean(pattern, page, true),
 			WriteRemote: full.Mean(pattern, page, false),
-			Commits:     snapCounter(full.Metrics, "container_ejb_store_total"),
+			Commits:     CounterFrom(full.Metrics, "container_ejb_store_total"),
 			Full:        full,
 		}
-		cr.Msgs = snapCounter(full.Metrics, "container_sync_pushes_total") +
-			snapCounter(full.Metrics, "container_async_publishes_total") +
-			snapCounter(full.Metrics, "push_batch_messages_total")
+		cr.Msgs = CounterFrom(full.Metrics, "container_sync_pushes_total") +
+			CounterFrom(full.Metrics, "container_async_publishes_total") +
+			CounterFrom(full.Metrics, "push_batch_messages_total")
 		if h := snapHistogram(full.Metrics, "container_replica_staleness_ns"); h != nil && h.Count > 0 {
 			cr.StaleSamples = h.Count
 			cr.StaleMean = time.Duration(h.SumNs / h.Count)

@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"wadeploy/internal/controller"
@@ -14,9 +13,7 @@ import (
 	"wadeploy/internal/faults"
 	"wadeploy/internal/metrics"
 	"wadeploy/internal/petstore"
-	"wadeploy/internal/planner"
 	"wadeploy/internal/rubis"
-	"wadeploy/internal/sim"
 	"wadeploy/internal/trace"
 	"wadeploy/internal/workload"
 )
@@ -30,21 +27,11 @@ const (
 	RUBiS    AppID = "rubis"
 )
 
-// Fault injects a WAN link failure window into a run.
-type Fault struct {
-	LinkA, LinkB string        // link endpoints (e.g. simnet.NodeEdge1, simnet.NodeRouter)
-	At           time.Duration // virtual time the link goes down
-	Duration     time.Duration // outage length
-}
-
 // RunOptions controls one experiment run.
 type RunOptions struct {
 	Seed     int64
 	Warmup   time.Duration
 	Duration time.Duration
-
-	// Faults are link outages injected during the run (failure testing).
-	Faults []Fault
 
 	// Schedule, when non-nil, arms a scripted fault schedule on the run's
 	// network (link flaps, partitions, latency/loss degradation, node
@@ -141,6 +128,12 @@ type Result struct {
 	JMSPublished int64
 	JMSDelivered int64
 
+	// Hubs is the hierarchy's regional hub count (0 on the paper's star).
+	Hubs int
+	// ReplicaEntries is the entity state cached across every edge replica
+	// at the end of the run.
+	ReplicaEntries int64
+
 	// Metrics is the run's full registry snapshot, taken after the workload
 	// finishes (deterministic: same seed, same snapshot).
 	Metrics *metrics.Snapshot
@@ -187,11 +180,11 @@ func (r *Result) Mean(pattern, page string, local bool) time.Duration {
 	return c.Remote
 }
 
+// Column is one (usage pattern, page) column of Table 6/7.
+type Column struct{ Pattern, Page string }
+
 // PetStoreColumns is the paper's Table 6 column order.
-var PetStoreColumns = []struct {
-	Pattern string
-	Page    string
-}{
+var PetStoreColumns = []Column{
 	{petstore.PatternBrowser, petstore.PageMain},
 	{petstore.PatternBrowser, petstore.PageCategory},
 	{petstore.PatternBrowser, petstore.PageProduct},
@@ -209,10 +202,7 @@ var PetStoreColumns = []struct {
 }
 
 // RUBiSColumns is the paper's Table 7 column order.
-var RUBiSColumns = []struct {
-	Pattern string
-	Page    string
-}{
+var RUBiSColumns = []Column{
 	{rubis.PatternBrowser, rubis.PageMain},
 	{rubis.PatternBrowser, rubis.PageBrowse},
 	{rubis.PatternBrowser, rubis.PageAllCategories},
@@ -232,174 +222,10 @@ var RUBiSColumns = []struct {
 	{rubis.PatternBidder, rubis.PageStoreComment},
 }
 
-// Run executes one (application, configuration) experiment.
+// Run executes one (application, configuration) experiment on the paper's
+// testbed and workload.
 func Run(app AppID, cfg core.ConfigID, opts RunOptions) (*Result, error) {
-	env := sim.NewEnv(opts.Seed)
-	if opts.Trace != nil {
-		trace.New(env, *opts.Trace).Install(env)
-	}
-	switch app {
-	case PetStore:
-		copts := core.DefaultOptions()
-		copts.Resilience = opts.Resilience
-		copts.Replication = opts.Replication
-		d, err := core.NewPaperDeployment(env, copts)
-		if err != nil {
-			return nil, err
-		}
-		var a *petstore.App
-		var ctrl *controller.Controller
-		if opts.Adaptive != nil {
-			a, err = petstore.DeployAdaptive(d, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ctrl, err = controller.Start(controller.Config{
-				Deployment: d,
-				Wiring:     a.Wiring(),
-				Model:      petstore.PlannerModel(),
-				Current:    planner.Candidate{ReplicateWeb: true},
-				Seed:       opts.Seed,
-				OnExtend:   a.ActivateEdgeCatalog,
-				Apply:      a.SetEffectiveConfig,
-				Options:    *opts.Adaptive,
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else if a, err = petstore.Deploy(d, cfg); err != nil {
-			return nil, err
-		}
-		res, err := collect(app, cfg, d, opts, petstore.PaperWorkload(a), petStorePatterns, columnsFor(app))
-		if err != nil {
-			return nil, err
-		}
-		if ctrl != nil {
-			res.Adapt = ctrl.Report()
-		}
-		return res, nil
-	case RUBiS:
-		if opts.Adaptive != nil {
-			return nil, fmt.Errorf("experiment: adaptive mode is PetStore-only")
-		}
-		copts := rubis.DeployOptions()
-		copts.Resilience = opts.Resilience
-		copts.Replication = opts.Replication
-		d, err := core.NewPaperDeployment(env, copts)
-		if err != nil {
-			return nil, err
-		}
-		a, err := rubis.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, rubis.PaperWorkload(a), rubisPatterns, columnsFor(app))
-	default:
-		return nil, fmt.Errorf("experiment: unknown app %q", app)
-	}
-}
-
-var (
-	petStorePatterns = []string{petstore.PatternBrowser, petstore.PatternBuyer}
-	rubisPatterns    = []string{rubis.PatternBrowser, rubis.PatternBidder}
-)
-
-func columnsFor(app AppID) []struct{ Pattern, Page string } {
-	var cols []struct{ Pattern, Page string }
-	if app == PetStore {
-		for _, c := range PetStoreColumns {
-			cols = append(cols, struct{ Pattern, Page string }{c.Pattern, c.Page})
-		}
-		return cols
-	}
-	for _, c := range RUBiSColumns {
-		cols = append(cols, struct{ Pattern, Page string }{c.Pattern, c.Page})
-	}
-	return cols
-}
-
-func collect(app AppID, cfg core.ConfigID, d *core.Deployment, opts RunOptions,
-	groups []workload.Group, patterns []string, columns []struct{ Pattern, Page string }) (*Result, error) {
-	for _, f := range opts.Faults {
-		f := f
-		// Validate the link exists before arming the outage.
-		if err := d.Net.SetLinkState(f.LinkA, f.LinkB, true); err != nil {
-			return nil, fmt.Errorf("experiment: fault: %w", err)
-		}
-		d.Env.At(f.At, func() { _ = d.Net.SetLinkState(f.LinkA, f.LinkB, false) })
-		d.Env.At(f.At+f.Duration, func() { _ = d.Net.SetLinkState(f.LinkA, f.LinkB, true) })
-	}
-	if opts.Schedule != nil {
-		if err := faults.Arm(d.Net, opts.Schedule, opts.Seed); err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-	}
-	reg := d.Env.Metrics()
-	if opts.MetricsTick > 0 {
-		var tick func()
-		tick = func() {
-			reg.Sample()
-			d.Env.After(opts.MetricsTick, tick)
-		}
-		d.Env.After(opts.MetricsTick, tick)
-	}
-	stats, err := workload.Run(workload.Config{
-		Env:      d.Env,
-		Groups:   groups,
-		Warmup:   opts.Warmup,
-		Duration: opts.Duration,
-		Observer: opts.Observer,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%s: %w", app, cfg, err)
-	}
-	res := &Result{
-		App:          app,
-		Config:       cfg,
-		SessionMeans: make(map[string]map[bool]time.Duration, len(patterns)),
-		Samples:      stats.TotalSamples(),
-		Errors:       stats.Errors(),
-		RemoteCalls:  d.RMI.Stats().RemoteCalls,
-		JMSPublished: d.JMS.Published(),
-		JMSDelivered: d.JMS.Delivered(),
-	}
-	for _, c := range columns {
-		cell := PageCell{
-			Pattern: c.Pattern,
-			Page:    c.Page,
-			Local:   stats.Mean(workload.SeriesKey{Pattern: c.Pattern, Page: c.Page, Local: true}),
-			Remote:  stats.Mean(workload.SeriesKey{Pattern: c.Pattern, Page: c.Page, Local: false}),
-		}
-		if s := stats.Series(workload.SeriesKey{Pattern: c.Pattern, Page: c.Page, Local: true}); s != nil {
-			cell.LocalP95 = s.Percentile(95)
-		}
-		if s := stats.Series(workload.SeriesKey{Pattern: c.Pattern, Page: c.Page, Local: false}); s != nil {
-			cell.RemoteP95 = s.Percentile(95)
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	for _, pat := range patterns {
-		res.SessionMeans[pat] = map[bool]time.Duration{
-			true:  stats.SessionMean(pat, true),
-			false: stats.SessionMean(pat, false),
-		}
-	}
-	if tr := trace.FromEnv(d.Env); tr != nil {
-		res.Trace = &TraceReport{
-			Blame:   tr.Aggregator(),
-			Traces:  tr.Recorder().Traces(),
-			Sampled: int64(tr.Recorder().Len()) + int64(tr.Recorder().Evicted()),
-			Dropped: int64(tr.Recorder().Evicted()),
-		}
-	}
-	mainNode := d.Net.Node(d.Main.Name())
-	res.MainCPUUtil = mainNode.CPU.Utilization()
-	if len(d.Edges) > 0 {
-		edgeNode := d.Net.Node(d.Edges[0].Name())
-		res.EdgeCPUUtil = edgeNode.CPU.Utilization()
-	}
-	res.Metrics = reg.Snapshot()
-	return res, nil
+	return Scenario{App: app, Config: cfg, RunOptions: opts}.Run()
 }
 
 // RunTable runs all five configurations for an application: the full
@@ -408,13 +234,10 @@ func RunTable(app AppID, opts RunOptions) ([]*Result, error) {
 	return runConfigs(app, opts, core.Configs)
 }
 
-// RunTableWithExtensions appends the extension configurations (currently
-// DB replication, Pet Store only) to the paper's five rows.
+// RunTableWithExtensions appends the app's extension configurations
+// (currently DB replication, Pet Store only) to the paper's five rows.
 func RunTableWithExtensions(app AppID, opts RunOptions) ([]*Result, error) {
-	configs := append([]core.ConfigID(nil), core.Configs...)
-	if app == PetStore {
-		configs = append(configs, core.ExtensionConfigs...)
-	}
+	configs := append(append([]core.ConfigID(nil), core.Configs...), apps[app].extensions...)
 	return runConfigs(app, opts, configs)
 }
 
@@ -448,12 +271,8 @@ func Figure(results []*Result) []FigureBar {
 	if len(results) == 0 {
 		return bars
 	}
-	patterns := petStorePatterns
-	if results[0].App == RUBiS {
-		patterns = rubisPatterns
-	}
 	for _, local := range []bool{true, false} {
-		for _, pat := range patterns {
+		for _, pat := range apps[results[0].App].patterns {
 			for _, r := range results {
 				bars = append(bars, FigureBar{
 					Config:  r.Config,

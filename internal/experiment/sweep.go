@@ -6,10 +6,6 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
-	"wadeploy/internal/petstore"
-	"wadeploy/internal/rubis"
-	"wadeploy/internal/sim"
-	"wadeploy/internal/simnet"
 )
 
 // SweepPoint is one measurement of a sensitivity sweep.
@@ -21,47 +17,9 @@ type SweepPoint struct {
 	RemoteWriter  time.Duration
 }
 
-// runWith executes one experiment with custom topology and workload scale.
-func runWith(app AppID, cfg core.ConfigID, opts RunOptions, topo simnet.TopologyParams, scale float64) (*Result, error) {
-	env := sim.NewEnv(opts.Seed)
-	var depOpts core.Options
-	switch app {
-	case PetStore:
-		depOpts = core.DefaultOptions()
-	case RUBiS:
-		depOpts = rubis.DeployOptions()
-	default:
-		return nil, fmt.Errorf("experiment: unknown app %q", app)
-	}
-	if topo.WANOneWay > 0 {
-		depOpts.Topology = topo
-	}
-	d, err := core.NewPaperDeployment(env, depOpts)
-	if err != nil {
-		return nil, err
-	}
-	switch app {
-	case PetStore:
-		a, err := petstore.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, petstore.PaperWorkloadScaled(a, scale), petStorePatterns, columnsFor(app))
-	default:
-		a, err := rubis.Deploy(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return collect(app, cfg, d, opts, rubis.PaperWorkloadScaled(a, scale), rubisPatterns, columnsFor(app))
-	}
-}
-
 // point converts a run's session means into a sweep point.
-func point(app AppID, r *Result, x float64) SweepPoint {
-	browser, writer := petstore.PatternBrowser, petstore.PatternBuyer
-	if app == RUBiS {
-		browser, writer = rubis.PatternBrowser, rubis.PatternBidder
-	}
+func point(r *Result, x float64) SweepPoint {
+	browser, writer := apps[r.App].patterns[0], apps[r.App].patterns[1]
 	return SweepPoint{
 		X:             x,
 		LocalBrowser:  r.SessionMeans[browser][true],
@@ -74,6 +32,7 @@ func point(app AppID, r *Result, x float64) SweepPoint {
 // LatencySweep measures session response times as the WAN one-way latency
 // varies — how each configuration's benefit scales with network distance
 // (not a paper experiment; a sensitivity study over its fixed 100 ms point).
+// Each point is the scenario Run(app, cfg, opts) runs, at another latency.
 func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts RunOptions) ([]SweepPoint, error) {
 	// Validate every point before launching workers so bad input fails the
 	// same way regardless of parallelism.
@@ -84,14 +43,12 @@ func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts Ru
 	}
 	out := make([]SweepPoint, len(oneWays))
 	err := forEachParallel(opts.Parallelism, len(oneWays), func(i int) error {
-		wan := oneWays[i]
-		topo := simnet.DefaultTopologyParams()
-		topo.WANOneWay = wan
-		r, err := runWith(app, cfg, opts, topo, 1)
+		s := Scenario{App: app, Config: cfg, WANOneWay: oneWays[i], RunOptions: opts}
+		r, err := s.Run()
 		if err != nil {
-			return fmt.Errorf("latency sweep %v: %w", wan, err)
+			return fmt.Errorf("latency sweep %v: %w", s.WANOneWay, err)
 		}
-		out[i] = point(app, r, float64(wan)/float64(time.Millisecond))
+		out[i] = point(r, float64(s.WANOneWay)/float64(time.Millisecond))
 		return nil
 	})
 	if err != nil {
@@ -102,7 +59,8 @@ func LatencySweep(app AppID, cfg core.ConfigID, oneWays []time.Duration, opts Ru
 
 // LoadSweep measures session response times as the offered load scales
 // around the paper's 30 req/s operating point, exposing where CPU queueing
-// begins to dominate.
+// begins to dominate. Each point is the scenario Run(app, cfg, opts) runs,
+// at another load.
 func LoadSweep(app AppID, cfg core.ConfigID, scales []float64, opts RunOptions) ([]SweepPoint, error) {
 	for _, s := range scales {
 		if s <= 0 {
@@ -111,12 +69,12 @@ func LoadSweep(app AppID, cfg core.ConfigID, scales []float64, opts RunOptions) 
 	}
 	out := make([]SweepPoint, len(scales))
 	err := forEachParallel(opts.Parallelism, len(scales), func(i int) error {
-		s := scales[i]
-		r, err := runWith(app, cfg, opts, simnet.TopologyParams{}, s)
+		s := Scenario{App: app, Config: cfg, Load: scales[i], RunOptions: opts}
+		r, err := s.Run()
 		if err != nil {
-			return fmt.Errorf("load sweep %v: %w", s, err)
+			return fmt.Errorf("load sweep %v: %w", s.Load, err)
 		}
-		out[i] = point(app, r, 30*s)
+		out[i] = point(r, 30*s.Load)
 		return nil
 	})
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"wadeploy/internal/core"
-	"wadeploy/internal/simnet"
+	"wadeploy/internal/faults"
 )
 
 func sweepOpts() RunOptions {
@@ -83,6 +83,38 @@ func TestLoadSweepQueueingGrowsWithLoad(t *testing.T) {
 	}
 }
 
+// TestSweepPointsAreRunScenarios pins that a sweep point is the scenario Run
+// runs, with only the swept field changed: the load sweep at scale 1 and the
+// latency sweep at the paper's 100 ms reproduce point(Run(...)) exactly,
+// with and without the canonical fault schedule and resilience policies.
+func TestSweepPointsAreRunScenarios(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		opts := sweepOpts()
+		if faulted {
+			opts.Schedule = faults.Canonical(opts.Warmup, opts.Duration)
+			opts.Resilience = core.DefaultResilience()
+		}
+		r, err := Run(PetStore, core.QueryCaching, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load, err := LoadSweep(PetStore, core.QueryCaching, []float64{1}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, err := LatencySweep(PetStore, core.QueryCaching, []time.Duration{100 * time.Millisecond}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := point(r, 30); load[0] != want {
+			t.Errorf("faulted=%v: load sweep at scale 1 = %+v, Run gives %+v", faulted, load[0], want)
+		}
+		if want := point(r, 100); lat[0] != want {
+			t.Errorf("faulted=%v: latency sweep at 100 ms = %+v, Run gives %+v", faulted, lat[0], want)
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	if _, err := LatencySweep(PetStore, core.Centralized, []time.Duration{0}, sweepOpts()); err == nil {
 		t.Fatal("zero latency accepted")
@@ -90,7 +122,7 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := LoadSweep(PetStore, core.Centralized, []float64{-1}, sweepOpts()); err == nil {
 		t.Fatal("negative scale accepted")
 	}
-	if _, err := runWith("nope", core.Centralized, sweepOpts(), simnet.TopologyParams{}, 1); err == nil {
+	if _, err := (Scenario{App: "nope", Config: core.Centralized, RunOptions: sweepOpts()}).Run(); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

@@ -5,33 +5,15 @@ import (
 	"strings"
 	"time"
 
-	"wadeploy/internal/container"
 	"wadeploy/internal/core"
 	"wadeploy/internal/metrics"
-	"wadeploy/internal/petstore"
-	"wadeploy/internal/rubis"
-	"wadeploy/internal/sim"
 	"wadeploy/internal/simnet"
 )
 
-// TopoSweepOptions parameterizes a topology scaling sweep.
-type TopoSweepOptions struct {
-	RunOptions
-
-	// Config is the configuration under test (default QueryCaching — the
-	// paper's best all-round pattern, and the one whose replica footprint
-	// partitioning shrinks).
-	Config core.ConfigID
-
-	// Partitions > 0 shards the hot entities (Item/Inventory for Pet Store,
-	// Item for RUBiS) into this many hash partitions spread round-robin over
-	// the edges. 0 keeps the paper's full replication at every PoP.
-	Partitions int
-
-	// Hierarchy overrides per-point spec fields other than Edges (link
-	// classes, hub count, redundancy). The zero value uses the defaults.
-	Hierarchy simnet.HierarchySpec
-}
+// TopoSweepOptions is a topology sweep's base scenario. TopoSweep sets its
+// App, and Hierarchy.Edges per point; the rest of a non-nil Hierarchy (link
+// classes, hub count, redundancy) carries over to every point.
+type TopoSweepOptions = Scenario
 
 // TopoPoint is one measurement of the edge-count scaling sweep.
 type TopoPoint struct {
@@ -66,13 +48,16 @@ type TopoPoint struct {
 // TopoSweep runs one scaling curve: for each edge count, build an N-edge
 // hierarchy, deploy the app partition-aware, offer the paper's total load
 // spread over the N edge client groups, and measure latency and WAN traffic.
-// Same seed, same options: byte-identical points at any Parallelism.
-func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint, error) {
-	if opts.Config == 0 {
-		opts.Config = core.QueryCaching
+// Config defaults to QueryCaching — the paper's best all-round pattern, and
+// the one whose replica footprint partitioning shrinks. Same seed, same
+// options: byte-identical points at any Parallelism.
+func TopoSweep(app AppID, edgeCounts []int, base TopoSweepOptions) ([]TopoPoint, error) {
+	base.App = app
+	if base.Config == 0 {
+		base.Config = core.QueryCaching
 	}
-	if !knownConfig(opts.Config) {
-		return nil, fmt.Errorf("experiment: unknown configuration %d", int(opts.Config))
+	if !knownConfig(base.Config) {
+		return nil, fmt.Errorf("experiment: unknown configuration %d", int(base.Config))
 	}
 	for _, n := range edgeCounts {
 		if n < 1 {
@@ -80,91 +65,40 @@ func TopoSweep(app AppID, edgeCounts []int, opts TopoSweepOptions) ([]TopoPoint,
 		}
 	}
 	out := make([]TopoPoint, len(edgeCounts))
-	err := forEachParallel(opts.Parallelism, len(edgeCounts), func(i int) error {
-		pt, err := runTopoPoint(app, edgeCounts[i], opts)
-		if err != nil {
-			return fmt.Errorf("topo sweep %d edges: %w", edgeCounts[i], err)
+	err := forEachParallel(base.Parallelism, len(edgeCounts), func(i int) error {
+		s := base
+		var spec simnet.HierarchySpec
+		if base.Hierarchy != nil {
+			spec = *base.Hierarchy
 		}
-		out[i] = pt
+		spec.Edges = edgeCounts[i]
+		s.Hierarchy = &spec
+		r, err := s.Run()
+		if err != nil {
+			return fmt.Errorf("topo sweep %d edges: %w", spec.Edges, err)
+		}
+		sp := point(r, float64(spec.Edges))
+		out[i] = TopoPoint{
+			Edges:          spec.Edges,
+			Hubs:           r.Hubs,
+			Partitions:     s.Partitions,
+			LocalBrowser:   sp.LocalBrowser,
+			RemoteBrowser:  sp.RemoteBrowser,
+			LocalWriter:    sp.LocalWriter,
+			RemoteWriter:   sp.RemoteWriter,
+			Samples:        r.Samples,
+			Errors:         r.Errors,
+			WANBytes:       wanBytes(r.Metrics),
+			Msgs:           CounterFrom(r.Metrics, "simnet_messages_total"),
+			ReplicaEntries: r.ReplicaEntries,
+			Pushes:         CounterFrom(r.Metrics, "container_replica_pushes_total"),
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-func runTopoPoint(app AppID, edges int, opts TopoSweepOptions) (TopoPoint, error) {
-	env := sim.NewEnv(opts.Seed)
-	spec := opts.Hierarchy
-	spec.Edges = edges
-	var depOpts core.Options
-	switch app {
-	case PetStore:
-		depOpts = core.DefaultOptions()
-	case RUBiS:
-		depOpts = rubis.DeployOptions()
-	default:
-		return TopoPoint{}, fmt.Errorf("experiment: unknown app %q", app)
-	}
-	depOpts.Resilience = opts.Resilience
-	depOpts.Replication = opts.Replication
-	d, h, err := core.NewHierarchicalDeployment(env, depOpts, spec)
-	if err != nil {
-		return TopoPoint{}, err
-	}
-	var pspec *container.PartitionSpec
-	if opts.Partitions > 0 {
-		pspec = &container.PartitionSpec{Scheme: container.HashPartition, Partitions: opts.Partitions}
-	}
-	var r *Result
-	var wiring *core.Wiring
-	switch app {
-	case PetStore:
-		a, err := petstore.DeployTopo(d, opts.Config, petstore.TopoOptions{Partition: pspec})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		wiring = a.Wiring()
-		r, err = collect(app, opts.Config, d, opts.RunOptions, petstore.TopoWorkload(a), petStorePatterns, columnsFor(app))
-		if err != nil {
-			return TopoPoint{}, err
-		}
-	default:
-		a, err := rubis.DeployTopo(d, opts.Config, rubis.TopoOptions{Partition: pspec})
-		if err != nil {
-			return TopoPoint{}, err
-		}
-		wiring = a.Wiring()
-		r, err = collect(app, opts.Config, d, opts.RunOptions, rubis.TopoWorkload(a), rubisPatterns, columnsFor(app))
-		if err != nil {
-			return TopoPoint{}, err
-		}
-	}
-	sp := point(app, r, float64(edges))
-	var entries int64
-	if wiring != nil {
-		for _, e := range d.Edges {
-			for _, ro := range wiring.Replicas[e.Name()] {
-				entries += int64(ro.Cached())
-			}
-		}
-	}
-	return TopoPoint{
-		Edges:          edges,
-		Hubs:           len(h.HubNames),
-		Partitions:     opts.Partitions,
-		LocalBrowser:   sp.LocalBrowser,
-		RemoteBrowser:  sp.RemoteBrowser,
-		LocalWriter:    sp.LocalWriter,
-		RemoteWriter:   sp.RemoteWriter,
-		Samples:        r.Samples,
-		Errors:         r.Errors,
-		WANBytes:       wanBytes(r.Metrics),
-		Msgs:           counterValue(r.Metrics, "simnet_messages_total"),
-		ReplicaEntries: entries,
-		Pushes:         counterValue(r.Metrics, "container_replica_pushes_total"),
-	}, nil
 }
 
 // knownConfig reports whether cfg is one of the study's configurations.
@@ -198,15 +132,6 @@ func wanBytes(s *metrics.Snapshot) int64 {
 		}
 	}
 	return total
-}
-
-func counterValue(s *metrics.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
 }
 
 // FormatTopo renders the scaling curve as an aligned table: per-pattern

@@ -15,12 +15,10 @@ import (
 
 // TopoOptions parameterizes a partition-aware deployment.
 type TopoOptions struct {
-	// Partition shards the Item and Inventory key space. Nil keeps full
-	// replication (DeployTopo then equals Deploy on the same deployment).
+	// Partition shards the Item and Inventory key space round-robin over
+	// the edges. Nil keeps full replication (DeployTopo then equals Deploy
+	// on the same deployment).
 	Partition *container.PartitionSpec
-	// Assignments maps edge node -> owned partitions. Nil with a non-nil
-	// Partition derives a round-robin assignment over the edges.
-	Assignments core.PartitionAssignment
 }
 
 // DeployTopo installs Pet Store on an N-edge deployment with optional entity
@@ -28,16 +26,9 @@ type TopoOptions struct {
 // core.NewHierarchicalDeployment, but any deployment works — partitioning is
 // orthogonal to topology.
 func DeployTopo(d *core.Deployment, cfg core.ConfigID, topo TopoOptions) (*App, error) {
-	if err := topo.Partition.Validate(); err != nil {
+	asg, err := d.RoundRobinAssignment(topo.Partition)
+	if err != nil {
 		return nil, fmt.Errorf("petstore: %w", err)
-	}
-	asg := topo.Assignments
-	if topo.Partition != nil && asg == nil {
-		edges := make([]string, 0, len(d.Edges))
-		for _, e := range d.Edges {
-			edges = append(edges, e.Name())
-		}
-		asg = core.RoundRobinAssignment(topo.Partition, edges)
 	}
 	return deploy(d, cfg, cfg, false, topo.Partition, asg)
 }

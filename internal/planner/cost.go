@@ -227,34 +227,6 @@ func (ev *Evaluator) pushCost(c Candidate) time.Duration {
 	return time.Duration(p.Edges) * one
 }
 
-// BatchedPushPerCommit prices the system-side WAN cost per commit under
-// batched/coalesced propagation (leases and batched async): one message
-// per edge per window, amortized over the commits the window coalesces.
-// The writer itself pays ~nothing — this is the number to weigh against
-// pushCost when deciding whether a staleness budget buys its bandwidth
-// back. fields sizes the coalesced delta per entity; distinct is how many
-// distinct entities a window's message carries.
-func (ev *Evaluator) BatchedPushPerCommit(commitsPerWindow, distinct float64, fields int) time.Duration {
-	p := ev.p
-	if commitsPerWindow < 1 {
-		commitsPerWindow = 1
-	}
-	if distinct < 1 {
-		distinct = 1
-	}
-	if distinct > commitsPerWindow {
-		distinct = commitsPerWindow
-	}
-	bytes := int(distinct) * DeltaPushBytes(fields)
-	apply := time.Duration(distinct) * (p.MethodCPU + p.CacheHitCPU)
-	one := p.MarshalCPU
-	one += xfer(p.WANOneWay, bytes, p.WANBps)
-	one += apply
-	one += xfer(p.WANOneWay, p.PushReplyBytes, p.WANBps)
-	perWindow := time.Duration(p.Edges) * one
-	return time.Duration(float64(perWindow) / commitsPerWindow)
-}
-
 // Op evaluation.
 
 func (s Seq) cost(ev *Evaluator, ctx Ctx) time.Duration {

@@ -15,28 +15,18 @@ import (
 
 // TopoOptions parameterizes a partition-aware RUBiS deployment.
 type TopoOptions struct {
-	// Partition shards the Item key space (item ids are decimal strings for
-	// partitioning purposes, so HashPartition is the natural scheme). Nil
-	// keeps full replication.
+	// Partition shards the Item key space round-robin over the edges (item
+	// ids are decimal strings for partitioning purposes, so HashPartition is
+	// the natural scheme). Nil keeps full replication.
 	Partition *container.PartitionSpec
-	// Assignments maps edge node -> owned partitions; nil with a non-nil
-	// Partition derives a round-robin assignment over the edges.
-	Assignments core.PartitionAssignment
 }
 
 // DeployTopo installs RUBiS on an N-edge deployment with the Item replica
 // optionally partitioned.
 func DeployTopo(d *core.Deployment, cfg core.ConfigID, topo TopoOptions) (*App, error) {
-	if err := topo.Partition.Validate(); err != nil {
+	asg, err := d.RoundRobinAssignment(topo.Partition)
+	if err != nil {
 		return nil, fmt.Errorf("rubis: %w", err)
-	}
-	asg := topo.Assignments
-	if topo.Partition != nil && asg == nil {
-		edges := make([]string, 0, len(d.Edges))
-		for _, e := range d.Edges {
-			edges = append(edges, e.Name())
-		}
-		asg = core.RoundRobinAssignment(topo.Partition, edges)
 	}
 	if err := InitSchema(d.DB); err != nil {
 		return nil, err

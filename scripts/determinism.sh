@@ -17,6 +17,18 @@ $GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 -metrics-out metrics
 diff table6-p1.txt table6-p8.txt
 diff metrics-p1.json metrics-p8.json
 
+echo '== sweeps under the canonical WAN-outage schedule =='
+# A sweep point is the same scenario as a table run, faults and resilience
+# policies included.
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 1 sweep-load > sweep-faults-p1.txt
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 sweep-load > sweep-faults-p8.txt
+diff sweep-faults-p1.txt sweep-faults-p8.txt
+
+echo '== availability table across parallelism =='
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 1 faults > faults-p1.txt
+$GO run ./cmd/wadeploy -quick -faults canonical -parallel 8 faults > faults-p8.txt
+diff faults-p1.txt faults-p8.txt
+
 echo '== streaming workload engine across worker counts =='
 # Results depend on the shard count, never the worker count.
 $GO run ./cmd/wadeploy -quick -sessions 20000 -shards 4 -parallel 1 scale > scale-w1.txt
